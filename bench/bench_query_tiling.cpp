@@ -5,6 +5,7 @@
 // scalings (slot mode). Cold cache per query (pool cleared).
 
 #include <chrono>
+#include <limits>
 
 #include "bench_util.h"
 #include "shiftsplit/core/md_shift_split.h"
@@ -120,7 +121,7 @@ int main() {
   // cancellation gates on the fetch path — and with a tight deadline under
   // the approximate path, where queries degrade instead of overrunning.
   auto run_latency = [&](OperationContext* (*make_ctx)(OperationContext&),
-                         bool resilient, uint64_t* degraded) {
+                         double max_error, uint64_t* degraded) {
     std::vector<double> us;
     us.reserve(workload.ranges.size());
     for (const auto& [lo, hi] : workload.ranges) {
@@ -128,19 +129,12 @@ int main() {
       OperationContext storage;
       QueryOptions options;
       options.context = make_ctx(storage);
+      options.max_error = max_error;
       const auto start = std::chrono::steady_clock::now();
-      if (resilient) {
-        const DegradedResult r = DieOnError(
-            RangeSumStandardResilient(tiled.store.get(), log_dims, lo, hi,
-                                      options),
-            "resilient range query");
-        if (degraded != nullptr && !r.exact()) ++*degraded;
-      } else {
-        DieOnError(RangeSumStandard(tiled.store.get(), log_dims, lo, hi,
-                                    options)
-                       .status(),
-                   "range query");
-      }
+      const DegradedResult r = DieOnError(
+          RangeSumStandard(tiled.store.get(), log_dims, lo, hi, options),
+          "range query");
+      if (degraded != nullptr && !r.exact()) ++*degraded;
       us.push_back(std::chrono::duration<double, std::micro>(
                        std::chrono::steady_clock::now() - start)
                        .count());
@@ -164,15 +158,16 @@ int main() {
               kQueries);
   PrintRow({"configuration", "p50 us", "p99 us", "degraded"}, 22);
   uint64_t degraded = 0;
-  auto base = run_latency(no_ctx, false, nullptr);
+  auto base = run_latency(no_ctx, 0.0, nullptr);
   PrintRow({"no deadline", F(Percentile(base, 50)), F(Percentile(base, 99)),
             "-"},
            22);
-  auto gated = run_latency(generous, false, nullptr);
+  auto gated = run_latency(generous, 0.0, nullptr);
   PrintRow({"10 s deadline", F(Percentile(gated, 50)),
             F(Percentile(gated, 99)), "-"},
            22);
-  auto approx = run_latency(tight, true, &degraded);
+  auto approx = run_latency(tight, std::numeric_limits<double>::infinity(),
+                            &degraded);
   PrintRow({"50 us deadline, approx", F(Percentile(approx, 50)),
             F(Percentile(approx, 99)), U(degraded)},
            22);

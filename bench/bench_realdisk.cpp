@@ -35,8 +35,9 @@ int main() {
         std::make_unique<StandardTiling>(std::vector<uint32_t>{n, n}, 3);
     const double block_bytes =
         static_cast<double>(layout->block_capacity()) * sizeof(double);
-    const std::string path =
-        (dir / ("n" + std::to_string(n) + ".blocks")).string();
+    std::string file = "n";
+    file += std::to_string(n) + ".blocks";
+    const std::string path = (dir / file).string();
     auto manager = DieOnError(
         FileBlockManager::Open(path, layout->block_capacity()), "open");
     auto store = DieOnError(

@@ -40,7 +40,7 @@ int main() {
   auto exact_r = RangeSumStandard(store.get(), log_dims, lo, hi,
                                   QueryOptions{});
   if (!exact_r.ok()) return 1;
-  const double exact = *exact_r;
+  const double exact = exact_r->value;
   std::printf("exact mean temperature of the box: %.4f C\n\n", exact / cells);
 
   // ---- K-term synopsis answers (zero I/O after the build scan) ----------

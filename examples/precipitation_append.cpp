@@ -61,6 +61,6 @@ int main() {
   }
   std::printf("\nyear-1 rainfall at grid (2,3): %.2f mm (direct sum: %.2f "
               "mm)\n",
-              *sum, check);
+              sum->value, check);
   return 0;
 }

@@ -66,13 +66,15 @@ int main() {
   QueryOptions options;
   options.use_scaling_slots = true;  // 1 disk block per point query
   auto value = PointQueryStandard(store.get(), log_dims, point, options);
-  std::printf("data[531] via 1 tile = %g (expected %g)\n", *value, data[531]);
+  std::printf("data[531] via 1 tile = %g (expected %g)\n", value->value,
+              data[531]);
 
   std::vector<uint64_t> lo{100}, hi{200};
   auto sum = RangeSumStandard(store.get(), log_dims, lo, hi, QueryOptions{});
   double expected = 0;
   for (uint64_t i = 100; i <= 200; ++i) expected += data[i];
-  std::printf("sum(data[100..200]) = %g (expected %g)\n", *sum, expected);
+  std::printf("sum(data[100..200]) = %g (expected %g)\n", sum->value,
+              expected);
 
   // Reconstruct a dyadic sub-range (Result 6) without touching the rest.
   std::vector<uint32_t> range_log{5};

@@ -60,7 +60,7 @@ int main() {
   const double cells = 4.0 * 32.0 * 1.0 * 64.0;
   std::printf("equatorial surface mean temperature: %.2f C  (block I/O so "
               "far: %llu)\n",
-              *sum / cells,
+              sum->value / cells,
               static_cast<unsigned long long>(store->stats().total_blocks()));
 
   // Point probes via the single-tile scaling-slot path.
@@ -71,7 +71,7 @@ int main() {
   auto tn = PointQueryStandard(store.get(), log_dims, north_winter, probe);
   auto ts = PointQueryStandard(store.get(), log_dims, south_winter, probe);
   std::printf("probe north=%.2f C south=%.2f C (generator: %.2f / %.2f)\n",
-              *tn, *ts, dataset->Cell(north_winter),
+              tn->value, ts->value, dataset->Cell(north_winter),
               dataset->Cell(south_winter));
 
   // Extract a (lat x lon) surface patch at one time step (Result 6).

@@ -52,8 +52,9 @@ Result<Tensor> PointwiseReconstructStandard(TiledStore* store,
       in_box = in_box && point[i] <= hi[i];
     }
     if (in_box) {
-      SS_ASSIGN_OR_RETURN(const double v,
-                          PointQueryStandard(store, log_dims, point, options));
+      SS_ASSIGN_OR_RETURN(
+          const double v,
+          ExactValue(PointQueryStandard(store, log_dims, point, options)));
       out.At(local) = v;
     }
   } while (out.shape().Next(local));

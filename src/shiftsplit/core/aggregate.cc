@@ -66,11 +66,12 @@ Result<AggregateCube::RangeAggregates> AggregateCube::Query(
   q.norm = options_.norm;
   q.context = ctx;
   RangeAggregates out;
-  SS_ASSIGN_OR_RETURN(out.sum,
-                      RangeSumStandard(values_.get(), log_dims_, lo, hi, q));
+  SS_ASSIGN_OR_RETURN(
+      out.sum,
+      ExactValue(RangeSumStandard(values_.get(), log_dims_, lo, hi, q)));
   SS_ASSIGN_OR_RETURN(
       out.sum_squares,
-      RangeSumStandard(squares_.get(), log_dims_, lo, hi, q));
+      ExactValue(RangeSumStandard(squares_.get(), log_dims_, lo, hi, q)));
   out.count = 1;
   for (size_t i = 0; i < lo.size(); ++i) out.count *= hi[i] - lo[i] + 1;
   const double n = static_cast<double>(out.count);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "shiftsplit/tile/nonstandard_tiling.h"
@@ -63,66 +64,10 @@ std::vector<DimRead> PointSlotReads(const TreeTiling& tiling, uint64_t t,
   return reads;
 }
 
-// Cross-product evaluation of per-dimension read lists. In slot-based mode
-// the per-dimension parts are combined by `tiling` when present (the
-// standard cross-product layout) or used directly (the 1-d tree layout).
-// A non-null overlay folds pending contributions into every fetched
-// coefficient; the address-mode fetch then goes through Locate + GetAt
-// (exactly what Get does internally) so the physical slot is known.
-Result<double> EvaluateCrossProduct(
-    TiledStore* store, const StandardTiling* tiling, bool slot_based,
-    const std::vector<std::vector<DimRead>>& reads, OperationContext* ctx,
-    const CoefficientOverlay* overlay) {
-  const uint32_t d = static_cast<uint32_t>(reads.size());
-  std::vector<size_t> pick(d, 0);
-  std::vector<uint64_t> address(d);
-  std::vector<BlockSlot> parts(d);
-  double value = 0.0;
-  for (;;) {
-    double weight = 1.0;
-    for (uint32_t i = 0; i < d; ++i) {
-      const DimRead& r = reads[i][pick[i]];
-      weight *= r.weight;
-      if (slot_based) {
-        parts[i] = r.part;
-      } else {
-        address[i] = r.index;
-      }
-    }
-    if (weight != 0.0) {
-      double coeff;
-      if (slot_based) {
-        const BlockSlot at =
-            tiling != nullptr ? tiling->Combine(parts) : parts[0];
-        SS_ASSIGN_OR_RETURN(coeff, store->GetAt(at, ctx));
-        if (overlay != nullptr) coeff = overlay->Adjust(at, coeff);
-      } else if (overlay != nullptr) {
-        SS_ASSIGN_OR_RETURN(const BlockSlot at,
-                            store->layout().Locate(address));
-        SS_ASSIGN_OR_RETURN(coeff, store->GetAt(at, ctx));
-        coeff = overlay->Adjust(at, coeff);
-      } else {
-        SS_ASSIGN_OR_RETURN(coeff, store->Get(address, ctx));
-      }
-      value += weight * coeff;
-    }
-    uint32_t i = d;
-    bool advanced = false;
-    while (i-- > 0) {
-      if (++pick[i] < reads[i].size()) {
-        advanced = true;
-        break;
-      }
-      pick[i] = 0;
-    }
-    if (!advanced) break;
-  }
-  return value;
-}
-
-// Errors a resilient query absorbs by skipping the term: corruption,
+// Errors a degradable query absorbs by skipping the term: corruption,
 // pool-pin exhaustion, transient I/O that outlasted its retries, and the
-// deadline itself. Cancellation and argument/layout errors propagate.
+// deadline itself. Cancellation and argument/layout errors propagate. This
+// is the only such list: the serving and sharding layers defer to it.
 bool IsDegradableError(const Status& status) {
   switch (status.code()) {
     case StatusCode::kChecksumMismatch:
@@ -149,17 +94,25 @@ DegradedReason ReasonFor(StatusCode code) {
   }
 }
 
-// Degrading twin of EvaluateCrossProduct. Terms are enumerated in the SAME
-// order, and fetched coefficients accumulate identically — with no faults
-// the value is bit-identical to the exact evaluator. A degradable fetch
-// failure marks the term's block missing and adds |weight| × sqrt(E_block)
-// to the error bound; later terms on a missing block are skipped without
-// touching the store (so a dead block costs one failed fetch, not many).
-Result<DegradedResult> EvaluateCrossProductResilient(
+// The standard-form evaluator: the cross product of per-dimension read
+// lists (Lemma 1 / Lemma 2). In slot-based mode the per-dimension parts are
+// combined by `tiling` when present (the standard cross-product layout) or
+// used directly (the 1-d tree layout). A non-null overlay folds pending
+// contributions into every term.
+//
+// Degradation follows QueryOptions::max_error: exact mode returns the first
+// failed fetch's status; otherwise a degradable failure marks the term's
+// block missing and adds |weight| x sqrt(E_block) to the error bound, and
+// later terms on a missing block are skipped without touching the store (a
+// dead block costs one failed fetch, not many). Terms are enumerated in one
+// fixed order, so with no faults degraded and exact answers are
+// bit-identical.
+Result<DegradedResult> EvaluateCrossProduct(
     TiledStore* store, const StandardTiling* tiling, bool slot_based,
-    const std::vector<std::vector<DimRead>>& reads, OperationContext* ctx,
-    const CoefficientOverlay* overlay) {
+    const std::vector<std::vector<DimRead>>& reads,
+    const QueryOptions& options, const char* query) {
   const uint32_t d = static_cast<uint32_t>(reads.size());
+  const CoefficientOverlay* overlay = options.overlay;
   std::vector<size_t> pick(d, 0);
   std::vector<uint64_t> address(d);
   std::vector<BlockSlot> parts(d);
@@ -183,25 +136,27 @@ Result<DegradedResult> EvaluateCrossProductResilient(
       } else {
         SS_ASSIGN_OR_RETURN(at, store->layout().Locate(address));
       }
-      if (missing.contains(at.block)) {
-        out.error_bound +=
-            std::abs(weight) * store->BlockEnergyCeiling(at.block);
-      } else {
-        const Result<double> coeff = store->GetAt(at, ctx);
+      bool skipped = missing.contains(at.block);
+      if (!skipped) {
+        const Result<double> coeff = store->GetAt(at, options.context);
         if (coeff.ok()) {
           const double merged =
               overlay != nullptr ? overlay->Adjust(at, *coeff) : *coeff;
           out.value += weight * merged;
-        } else if (IsDegradableError(coeff.status())) {
+        } else if (options.approx_ok() && IsDegradableError(coeff.status())) {
           missing.insert(at.block);
           if (out.reason == DegradedReason::kNone) {
             out.reason = ReasonFor(coeff.status().code());
           }
-          out.error_bound +=
-              std::abs(weight) * store->BlockEnergyCeiling(at.block);
+          skipped = true;
         } else {
           return coeff.status();
         }
+      }
+      if (skipped) {
+        out.error_bound +=
+            std::abs(weight) * store->BlockEnergyCeiling(at.block);
+        if (overlay != nullptr) out.value += weight * overlay->Adjust(at, 0.0);
       }
     }
     uint32_t i = d;
@@ -216,10 +171,27 @@ Result<DegradedResult> EvaluateCrossProductResilient(
     if (!advanced) break;
   }
   out.blocks_missing = missing.size();
+  SS_RETURN_IF_ERROR(CheckErrorBound(out, options, query));
   return out;
 }
 
 }  // namespace
+
+Status CheckErrorBound(const DegradedResult& answer,
+                       const QueryOptions& options, const char* query) {
+  if (answer.exact() || answer.error_bound <= options.max_error) {
+    return Status::OK();
+  }
+  std::string message = std::string("degraded ") + query + " error bound " +
+                        std::to_string(answer.error_bound) +
+                        " exceeds max_error " +
+                        std::to_string(options.max_error);
+  if (!answer.shards_missing.empty()) {
+    message += " (" + std::to_string(answer.shards_missing.size()) +
+               " shards unavailable)";
+  }
+  return Status::Unavailable(message);
+}
 
 const char* DegradedReasonToString(DegradedReason reason) {
   switch (reason) {
@@ -264,15 +236,10 @@ double RangeWeightNormSquared(uint32_t n, uint64_t lo, uint64_t hi,
   return sum;
 }
 
-namespace {
-
-// Shared setup of PointQueryStandard{,Resilient}: validates the point and
-// builds the per-dimension read lists.
-Status BuildPointReads(TiledStore* store, std::span<const uint32_t> log_dims,
-                       std::span<const uint64_t> point,
-                       const QueryOptions& options,
-                       const StandardTiling** tiling_out, bool* slots_out,
-                       std::vector<std::vector<DimRead>>* reads) {
+Result<DegradedResult> PointQueryStandard(TiledStore* store,
+                                          std::span<const uint32_t> log_dims,
+                                          std::span<const uint64_t> point,
+                                          const QueryOptions& options) {
   const uint32_t d = static_cast<uint32_t>(log_dims.size());
   if (point.size() != d) {
     return Status::InvalidArgument("point dimensionality mismatch");
@@ -288,80 +255,18 @@ Status BuildPointReads(TiledStore* store, std::span<const uint32_t> log_dims,
              : nullptr;
   const bool slots = options.use_scaling_slots &&
                      (tiling != nullptr || tree_layout != nullptr);
-  reads->assign(d, {});
+  std::vector<std::vector<DimRead>> reads(d);
   for (uint32_t i = 0; i < d; ++i) {
     if (!slots) {
-      (*reads)[i] = PointPathReads(log_dims[i], point[i], options.norm);
+      reads[i] = PointPathReads(log_dims[i], point[i], options.norm);
     } else {
       const TreeTiling& dim_tiling =
           tiling != nullptr ? tiling->dim_tiling(i) : tree_layout->tiling();
-      (*reads)[i] = PointSlotReads(dim_tiling, point[i], options.norm);
+      reads[i] = PointSlotReads(dim_tiling, point[i], options.norm);
     }
   }
-  *tiling_out = tiling;
-  *slots_out = slots;
-  return Status::OK();
-}
-
-// Shared setup of RangeSumStandard{,Resilient}: validates the box and
-// builds the per-dimension boundary-path read lists (Lemma 2).
-Status BuildRangeReads(std::span<const uint32_t> log_dims,
-                       std::span<const uint64_t> lo,
-                       std::span<const uint64_t> hi,
-                       const QueryOptions& options,
-                       std::vector<std::vector<DimRead>>* reads) {
-  const uint32_t d = static_cast<uint32_t>(log_dims.size());
-  if (lo.size() != d || hi.size() != d) {
-    return Status::InvalidArgument("range dimensionality mismatch");
-  }
-  reads->assign(d, {});
-  for (uint32_t i = 0; i < d; ++i) {
-    const uint32_t n = log_dims[i];
-    if (lo[i] > hi[i] || hi[i] >= (uint64_t{1} << n)) {
-      return Status::OutOfRange("bad range bounds");
-    }
-    // Candidate indices: union of the two boundary paths (all other details
-    // have zero aggregate weight by the vanishing moment).
-    std::vector<uint64_t> candidates = PathToRoot(n, lo[i]);
-    for (uint64_t idx : PathToRoot(n, hi[i])) {
-      if (std::find(candidates.begin(), candidates.end(), idx) ==
-          candidates.end()) {
-        candidates.push_back(idx);
-      }
-    }
-    for (uint64_t idx : candidates) {
-      const double w = RangeSumWeight(n, idx, lo[i], hi[i], options.norm);
-      if (w != 0.0) (*reads)[i].push_back({idx, {}, w});
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<double> PointQueryStandard(TiledStore* store,
-                                  std::span<const uint32_t> log_dims,
-                                  std::span<const uint64_t> point,
-                                  const QueryOptions& options) {
-  const StandardTiling* tiling = nullptr;
-  bool slots = false;
-  std::vector<std::vector<DimRead>> reads;
-  SS_RETURN_IF_ERROR(BuildPointReads(store, log_dims, point, options,
-                                     &tiling, &slots, &reads));
-  return EvaluateCrossProduct(store, tiling, slots, reads, options.context,
-                              options.overlay);
-}
-
-Result<DegradedResult> PointQueryStandardResilient(
-    TiledStore* store, std::span<const uint32_t> log_dims,
-    std::span<const uint64_t> point, const QueryOptions& options) {
-  const StandardTiling* tiling = nullptr;
-  bool slots = false;
-  std::vector<std::vector<DimRead>> reads;
-  SS_RETURN_IF_ERROR(BuildPointReads(store, log_dims, point, options,
-                                     &tiling, &slots, &reads));
-  return EvaluateCrossProductResilient(store, tiling, slots, reads,
-                                       options.context, options.overlay);
+  return EvaluateCrossProduct(store, tiling, slots, reads, options,
+                              "point query");
 }
 
 Result<double> PointQueryNonstandard(TiledStore* store, uint32_t n,
@@ -421,16 +326,12 @@ Result<double> PointQueryNonstandard(TiledStore* store, uint32_t n,
   return value;
 }
 
-namespace {
-
-// Shared front end of BatchPointQueryStandard{,Resilient}: validates EVERY
-// point (dimensionality and domain) before any I/O — a bad point fails the
-// batch up front without disturbing the store or evaluating a prefix — then
-// computes the block-locality evaluation order.
-Result<std::vector<size_t>> BatchPointOrder(
+Result<std::vector<DegradedResult>> BatchPointQueryStandard(
     TiledStore* store, std::span<const uint32_t> log_dims,
     const std::vector<std::vector<uint64_t>>& points,
     const QueryOptions& options) {
+  // Validate EVERY point before any I/O: a bad point fails the batch up
+  // front without disturbing the store or evaluating a prefix.
   const uint32_t d = static_cast<uint32_t>(log_dims.size());
   for (const std::vector<uint64_t>& point : points) {
     if (point.size() != d) {
@@ -463,35 +364,10 @@ Result<std::vector<size_t>> BatchPointOrder(
     std::sort(order.begin(), order.end(),
               [&](size_t a, size_t b) { return home[a] < home[b]; });
   }
-  return order;
-}
-
-}  // namespace
-
-Result<std::vector<double>> BatchPointQueryStandard(
-    TiledStore* store, std::span<const uint32_t> log_dims,
-    const std::vector<std::vector<uint64_t>>& points,
-    const QueryOptions& options) {
-  SS_ASSIGN_OR_RETURN(const std::vector<size_t> order,
-                      BatchPointOrder(store, log_dims, points, options));
-  std::vector<double> out(points.size());
+  std::vector<DegradedResult> out(points.size());
   for (size_t i : order) {
     SS_ASSIGN_OR_RETURN(
         out[i], PointQueryStandard(store, log_dims, points[i], options));
-  }
-  return out;
-}
-
-Result<std::vector<DegradedResult>> BatchPointQueryStandardResilient(
-    TiledStore* store, std::span<const uint32_t> log_dims,
-    const std::vector<std::vector<uint64_t>>& points,
-    const QueryOptions& options) {
-  SS_ASSIGN_OR_RETURN(const std::vector<size_t> order,
-                      BatchPointOrder(store, log_dims, points, options));
-  std::vector<DegradedResult> out(points.size());
-  for (size_t i : order) {
-    SS_ASSIGN_OR_RETURN(out[i], PointQueryStandardResilient(
-                                    store, log_dims, points[i], options));
   }
   return out;
 }
@@ -523,25 +399,37 @@ double RangeSumWeight(uint32_t n, uint64_t index, uint64_t lo, uint64_t hi,
   return w * (left - right);
 }
 
-Result<double> RangeSumStandard(TiledStore* store,
-                                std::span<const uint32_t> log_dims,
-                                std::span<const uint64_t> lo,
-                                std::span<const uint64_t> hi,
-                                const QueryOptions& options) {
-  std::vector<std::vector<DimRead>> reads;
-  SS_RETURN_IF_ERROR(BuildRangeReads(log_dims, lo, hi, options, &reads));
-  return EvaluateCrossProduct(store, nullptr, false, reads,
-                              options.context, options.overlay);
-}
-
-Result<DegradedResult> RangeSumStandardResilient(
-    TiledStore* store, std::span<const uint32_t> log_dims,
-    std::span<const uint64_t> lo, std::span<const uint64_t> hi,
-    const QueryOptions& options) {
-  std::vector<std::vector<DimRead>> reads;
-  SS_RETURN_IF_ERROR(BuildRangeReads(log_dims, lo, hi, options, &reads));
-  return EvaluateCrossProductResilient(store, nullptr, false, reads,
-                                       options.context, options.overlay);
+Result<DegradedResult> RangeSumStandard(TiledStore* store,
+                                        std::span<const uint32_t> log_dims,
+                                        std::span<const uint64_t> lo,
+                                        std::span<const uint64_t> hi,
+                                        const QueryOptions& options) {
+  const uint32_t d = static_cast<uint32_t>(log_dims.size());
+  if (lo.size() != d || hi.size() != d) {
+    return Status::InvalidArgument("range dimensionality mismatch");
+  }
+  std::vector<std::vector<DimRead>> reads(d);
+  for (uint32_t i = 0; i < d; ++i) {
+    const uint32_t n = log_dims[i];
+    if (lo[i] > hi[i] || hi[i] >= (uint64_t{1} << n)) {
+      return Status::OutOfRange("bad range bounds");
+    }
+    // Candidate indices: union of the two boundary paths (all other details
+    // have zero aggregate weight by the vanishing moment).
+    std::vector<uint64_t> candidates = PathToRoot(n, lo[i]);
+    for (uint64_t idx : PathToRoot(n, hi[i])) {
+      if (std::find(candidates.begin(), candidates.end(), idx) ==
+          candidates.end()) {
+        candidates.push_back(idx);
+      }
+    }
+    for (uint64_t idx : candidates) {
+      const double w = RangeSumWeight(n, idx, lo[i], hi[i], options.norm);
+      if (w != 0.0) reads[i].push_back({idx, {}, w});
+    }
+  }
+  return EvaluateCrossProduct(store, nullptr, false, reads, options,
+                              "range sum");
 }
 
 Result<std::vector<ProgressiveEstimate>> ProgressiveRangeSumStandard(

@@ -50,21 +50,32 @@ struct QueryOptions {
   /// unwinds within one block read. Null: unbounded, as before.
   OperationContext* context = nullptr;
   /// Pending-delta merge hook (not owned; may be null). Applied to every
-  /// fetched coefficient of the standard-form point/range/batch evaluators
-  /// (exact and resilient alike); null keeps the store-only semantics.
+  /// coefficient term of the standard-form point/range/batch evaluators;
+  /// null keeps the store-only semantics.
   const CoefficientOverlay* overlay = nullptr;
-  /// Approximation tolerance: 0 demands an exact answer (any unavailable
-  /// shard/block fails the query), a positive value lets degradable entry
-  /// points (ShardedCube's DegradedResult overloads) skip unavailable parts
-  /// as long as the accumulated error bound stays within `max_error`. Use
-  /// +infinity for "any degraded answer beats no answer".
+  /// The one switch between exact and degraded answers, in every layer —
+  /// core evaluators, WaveletCube, ServingCube, ShardedCube and the wire:
+  ///  * 0 (default) demands an exact answer: the first failed block fetch
+  ///    fails the query with that fetch's own status.
+  ///  * > 0: a fetch failing with a degradable code (checksum mismatch,
+  ///    pin exhaustion, I/O or availability errors that outlasted their
+  ///    retries, a deadline passing mid-query) skips its cross-product
+  ///    term and adds |w|·sqrt(E_block) to DegradedResult::error_bound;
+  ///    every other code propagates. Under an overlay the skipped term still
+  ///    contributes w·overlay->Adjust(at, 0.0) — the pending deltas are in
+  ///    memory, so the bound covers only the stored coefficient. A sharded
+  ///    router additionally skips whole unavailable shards (see
+  ///    ShardedCube). If the final bound is not <= max_error the query fails
+  ///    kUnavailable.
+  /// Use +infinity for "any degraded answer beats no answer". Non-standard
+  /// evaluators are exact-only: max_error > 0 is kUnimplemented there.
   double max_error = 0.0;
 
   /// True when the caller opted into approximate answers.
   bool approx_ok() const { return max_error > 0.0; }
 };
 
-/// \brief Why a resilient query fell back to an approximate answer.
+/// \brief Why a query fell back to an approximate answer.
 enum class DegradedReason {
   kNone = 0,        ///< the answer is exact
   kQuarantined,     ///< blocks failed checksum verification
@@ -77,8 +88,9 @@ enum class DegradedReason {
 /// \brief Human-readable name of a DegradedReason (e.g. "Deadline").
 const char* DegradedReasonToString(DegradedReason reason);
 
-/// \brief Answer of a resilient query: exact when no block was skipped,
-/// otherwise the partial reconstruction plus a hard error bound.
+/// \brief Answer of a standard-form query: exact when no block was skipped
+/// (always, under max_error == 0), otherwise the partial reconstruction
+/// plus a hard error bound.
 ///
 /// Every skipped cross-product term contributes |term weight| × sqrt(E_b)
 /// to `error_bound`, where E_b is the skipped block's tracked energy
@@ -101,11 +113,26 @@ struct DegradedResult {
   bool exact() const { return reason == DegradedReason::kNone; }
 };
 
-/// \brief Value of the data point `point` from a standard-form store.
-Result<double> PointQueryStandard(TiledStore* store,
-                                  std::span<const uint32_t> log_dims,
-                                  std::span<const uint64_t> point,
-                                  const QueryOptions& options = {});
+/// \brief The value of an answer evaluated with max_error == 0 (which is
+/// always exact), or its error — the bridge from the DegradedResult entry
+/// points to the exact Result<double> overloads.
+inline Result<double> ExactValue(const Result<DegradedResult>& answer) {
+  if (!answer.ok()) return answer.status();
+  return answer->value;
+}
+
+/// \brief Enforces the max_error contract on a finished answer: OK when
+/// its error bound is within options.max_error, otherwise kUnavailable
+/// naming `query` (e.g. "range sum") and both numbers.
+Status CheckErrorBound(const DegradedResult& answer,
+                       const QueryOptions& options, const char* query);
+
+/// \brief Value of the data point `point` from a standard-form store; see
+/// QueryOptions::max_error for when the answer may be degraded.
+Result<DegradedResult> PointQueryStandard(TiledStore* store,
+                                          std::span<const uint32_t> log_dims,
+                                          std::span<const uint64_t> point,
+                                          const QueryOptions& options = {});
 
 /// \brief Value of the data point from a non-standard-form store (cube of
 /// edge 2^n).
@@ -113,22 +140,25 @@ Result<double> PointQueryNonstandard(TiledStore* store, uint32_t n,
                                      std::span<const uint64_t> point,
                                      const QueryOptions& options = {});
 
-/// \brief Batch of point queries with block-locality scheduling: in
+/// \brief Batch of point queries with block-locality scheduling: every
+/// point is validated (dimensionality and domain) before any I/O, then in
 /// scaling-slot mode the points are evaluated grouped by their deepest
 /// tile, so each data block is fetched once per group regardless of the
-/// input order. Results are returned in input order.
-Result<std::vector<double>> BatchPointQueryStandard(
+/// input order. Each point is its own query under options.max_error (a
+/// degradable failure degrades only its point). Results are in input order.
+Result<std::vector<DegradedResult>> BatchPointQueryStandard(
     TiledStore* store, std::span<const uint32_t> log_dims,
     const std::vector<std::vector<uint64_t>>& points,
     const QueryOptions& options = {});
 
 /// \brief Sum of the data over the inclusive box [lo, hi] from a
-/// standard-form store, touching O((2 log N + 1)^d) coefficients (Lemma 2).
-Result<double> RangeSumStandard(TiledStore* store,
-                                std::span<const uint32_t> log_dims,
-                                std::span<const uint64_t> lo,
-                                std::span<const uint64_t> hi,
-                                const QueryOptions& options = {});
+/// standard-form store, touching O((2 log N + 1)^d) coefficients (Lemma 2);
+/// see QueryOptions::max_error for when the answer may be degraded.
+Result<DegradedResult> RangeSumStandard(TiledStore* store,
+                                        std::span<const uint32_t> log_dims,
+                                        std::span<const uint64_t> lo,
+                                        std::span<const uint64_t> hi,
+                                        const QueryOptions& options = {});
 
 /// \brief Range-sum from a non-standard-form store: recursive descent over
 /// the quadtree, visiting only nodes whose support crosses the box boundary.
@@ -136,34 +166,6 @@ Result<double> RangeSumNonstandard(TiledStore* store, uint32_t n,
                                    std::span<const uint64_t> lo,
                                    std::span<const uint64_t> hi,
                                    const QueryOptions& options = {});
-
-/// \brief Resilient point query (standard form): like PointQueryStandard,
-/// but degradable failures — quarantined blocks (ChecksumMismatch), pin
-/// exhaustion (ResourceExhausted), transient I/O that outlasts the retry
-/// budget (IOError/Unavailable) and mid-query deadlines — skip the affected
-/// term instead of failing, accumulating an error bound (see
-/// DegradedResult). Cancellation and argument errors still propagate. With
-/// no faults the result is bit-identical to PointQueryStandard (same term
-/// enumeration order).
-Result<DegradedResult> PointQueryStandardResilient(
-    TiledStore* store, std::span<const uint32_t> log_dims,
-    std::span<const uint64_t> point, const QueryOptions& options = {});
-
-/// \brief Resilient range sum (standard form); see
-/// PointQueryStandardResilient for the degradation contract.
-Result<DegradedResult> RangeSumStandardResilient(
-    TiledStore* store, std::span<const uint32_t> log_dims,
-    std::span<const uint64_t> lo, std::span<const uint64_t> hi,
-    const QueryOptions& options = {});
-
-/// \brief Resilient batch point query: every point is validated up front
-/// (dimensionality and domain) before any I/O, then evaluated with the
-/// per-point degradation contract of PointQueryStandardResilient. Results
-/// are in input order; a degradable failure degrades only its own point.
-Result<std::vector<DegradedResult>> BatchPointQueryStandardResilient(
-    TiledStore* store, std::span<const uint32_t> log_dims,
-    const std::vector<std::vector<uint64_t>>& points,
-    const QueryOptions& options = {});
 
 /// \brief Clips the inclusive box [lo, hi] to the slab
 /// `slab_lo <= x[dim] <= slab_hi` along dimension `dim`. Returns false when

@@ -23,6 +23,14 @@ std::string JournalPath(const std::string& dir) {
   return (std::filesystem::path(dir) / "store.journal").string();
 }
 
+// Non-standard evaluators answer exactly only.
+Status NonstandardIsExactOnly(const QueryOptions& options) {
+  if (!options.approx_ok()) return Status::OK();
+  return Status::Unimplemented(
+      "graceful degradation currently supports standard-form cubes; "
+      "non-standard queries answer exactly (max_error 0)");
+}
+
 // Nonzero random epoch stamped into every v2 block footer, so blocks from a
 // deleted-and-recreated store at the same path can never verify.
 uint64_t RandomEpoch() {
@@ -156,59 +164,46 @@ Status WaveletCube::Ingest(ChunkSource* source, uint32_t log_chunk,
 Result<double> WaveletCube::PointQuery(std::span<const uint64_t> point,
                                        bool use_scaling_slots,
                                        OperationContext* ctx) {
-  QueryOptions q;
-  q.norm = manifest_.norm;
-  q.use_scaling_slots = use_scaling_slots;
-  q.context = ctx;
-  if (manifest_.form == StoreForm::kNonstandard) {
-    return PointQueryNonstandard(store_.get(), manifest_.log_dims[0], point,
-                                 q);
-  }
-  return PointQueryStandard(store_.get(), manifest_.log_dims, point, q);
+  return ExactValue(PointQuery(
+      point, QueryOptions{.use_scaling_slots = use_scaling_slots,
+                          .context = ctx}));
 }
 
 Result<double> WaveletCube::RangeSum(std::span<const uint64_t> lo,
                                      std::span<const uint64_t> hi,
                                      OperationContext* ctx) {
-  QueryOptions q;
-  q.norm = manifest_.norm;
-  q.context = ctx;
-  if (manifest_.form == StoreForm::kNonstandard) {
-    return RangeSumNonstandard(store_.get(), manifest_.log_dims[0], lo, hi,
-                               q);
-  }
-  return RangeSumStandard(store_.get(), manifest_.log_dims, lo, hi, q);
+  return ExactValue(RangeSum(lo, hi, QueryOptions{.context = ctx}));
 }
 
-Result<DegradedResult> WaveletCube::PointQueryResilient(
-    std::span<const uint64_t> point, bool use_scaling_slots,
-    OperationContext* ctx) {
-  if (manifest_.form == StoreForm::kNonstandard) {
-    return Status::Unimplemented(
-        "graceful degradation currently supports standard-form cubes; "
-        "non-standard queries still honour deadlines via PointQuery");
-  }
-  QueryOptions q;
+Result<DegradedResult> WaveletCube::PointQuery(std::span<const uint64_t> point,
+                                               const QueryOptions& options) {
+  QueryOptions q = options;
   q.norm = manifest_.norm;
-  q.use_scaling_slots = use_scaling_slots;
-  q.context = ctx;
-  return PointQueryStandardResilient(store_.get(), manifest_.log_dims, point,
-                                     q);
+  if (manifest_.form == StoreForm::kStandard) {
+    return PointQueryStandard(store_.get(), manifest_.log_dims, point, q);
+  }
+  SS_RETURN_IF_ERROR(NonstandardIsExactOnly(q));
+  DegradedResult out;
+  SS_ASSIGN_OR_RETURN(out.value, PointQueryNonstandard(
+                                     store_.get(), manifest_.log_dims[0],
+                                     point, q));
+  return out;
 }
 
-Result<DegradedResult> WaveletCube::RangeSumResilient(
-    std::span<const uint64_t> lo, std::span<const uint64_t> hi,
-    OperationContext* ctx) {
-  if (manifest_.form == StoreForm::kNonstandard) {
-    return Status::Unimplemented(
-        "graceful degradation currently supports standard-form cubes; "
-        "non-standard queries still honour deadlines via RangeSum");
-  }
-  QueryOptions q;
+Result<DegradedResult> WaveletCube::RangeSum(std::span<const uint64_t> lo,
+                                             std::span<const uint64_t> hi,
+                                             const QueryOptions& options) {
+  QueryOptions q = options;
   q.norm = manifest_.norm;
-  q.context = ctx;
-  return RangeSumStandardResilient(store_.get(), manifest_.log_dims, lo, hi,
-                                   q);
+  if (manifest_.form == StoreForm::kStandard) {
+    return RangeSumStandard(store_.get(), manifest_.log_dims, lo, hi, q);
+  }
+  SS_RETURN_IF_ERROR(NonstandardIsExactOnly(q));
+  DegradedResult out;
+  SS_ASSIGN_OR_RETURN(out.value, RangeSumNonstandard(
+                                     store_.get(), manifest_.log_dims[0], lo,
+                                     hi, q));
+  return out;
 }
 
 Result<Tensor> WaveletCube::Extract(std::span<const uint64_t> lo,

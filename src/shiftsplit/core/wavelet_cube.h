@@ -84,22 +84,22 @@ class WaveletCube {
                           std::span<const uint64_t> hi,
                           OperationContext* ctx = nullptr);
 
-  /// \brief Resilient point query (standard-form cubes): degradable
-  /// failures — quarantined blocks, pin exhaustion, transient I/O beyond
-  /// the retry budget, mid-query deadlines — skip the affected blocks and
-  /// return an approximate answer with a hard error bound instead of
-  /// failing (see DegradedResult). Call EnableEnergyTracking() first for
-  /// finite bounds. Unimplemented for non-standard-form cubes.
-  Result<DegradedResult> PointQueryResilient(std::span<const uint64_t> point,
-                                             bool use_scaling_slots = true,
-                                             OperationContext* ctx = nullptr);
+  /// \brief Point query under `options` (the cube's own norm replaces
+  /// options.norm). options.max_error > 0 lets quarantined blocks, pin
+  /// exhaustion, transient I/O beyond the retry budget and mid-query
+  /// deadlines degrade the answer instead of failing it (see
+  /// QueryOptions::max_error); call EnableEnergyTracking() first for finite
+  /// bounds. Non-standard-form cubes answer exactly only (max_error > 0 is
+  /// kUnimplemented).
+  Result<DegradedResult> PointQuery(std::span<const uint64_t> point,
+                                    const QueryOptions& options);
 
-  /// \brief Resilient range sum; see PointQueryResilient.
-  Result<DegradedResult> RangeSumResilient(std::span<const uint64_t> lo,
-                                           std::span<const uint64_t> hi,
-                                           OperationContext* ctx = nullptr);
+  /// \brief Range sum under `options`; see the QueryOptions PointQuery.
+  Result<DegradedResult> RangeSum(std::span<const uint64_t> lo,
+                                  std::span<const uint64_t> hi,
+                                  const QueryOptions& options);
 
-  /// \brief Builds the per-block energy index that gives resilient queries
+  /// \brief Builds the per-block energy index that gives degraded answers
   /// finite error bounds (one full scan; see
   /// TiledStore::EnableEnergyTracking).
   Status EnableEnergyTracking() { return store_->EnableEnergyTracking(); }

@@ -61,38 +61,19 @@ Status ServeHandle::Update(const Tensor& deltas,
 Result<DegradedResult> ServeHandle::PointQuery(std::span<const uint64_t> point,
                                                double max_error,
                                                OperationContext* ctx) {
-  if (sharded_ && max_error > 0.0) {
-    QueryOptions options;
-    options.context = ctx;
-    options.max_error = max_error;
-    return sharded_->PointQuery(point, options);
-  }
-  auto exact = sharded_
-                   ? sharded_->PointQuery(point, /*use_scaling_slots=*/true,
-                                          ctx)
-                   : mono_->PointQuery(point, /*use_scaling_slots=*/true, ctx);
-  SS_RETURN_IF_ERROR(exact.status());
-  DegradedResult result;
-  result.value = *exact;
-  return result;
+  const QueryOptions options{
+      .use_scaling_slots = true, .context = ctx, .max_error = max_error};
+  return sharded_ ? sharded_->PointQuery(point, options)
+                  : mono_->PointQuery(point, options);
 }
 
 Result<DegradedResult> ServeHandle::RangeSum(std::span<const uint64_t> lo,
                                              std::span<const uint64_t> hi,
                                              double max_error,
                                              OperationContext* ctx) {
-  if (sharded_ && max_error > 0.0) {
-    QueryOptions options;
-    options.context = ctx;
-    options.max_error = max_error;
-    return sharded_->RangeSum(lo, hi, options);
-  }
-  auto exact = sharded_ ? sharded_->RangeSum(lo, hi, ctx)
-                        : mono_->RangeSum(lo, hi, ctx);
-  SS_RETURN_IF_ERROR(exact.status());
-  DegradedResult result;
-  result.value = *exact;
-  return result;
+  const QueryOptions options{.context = ctx, .max_error = max_error};
+  return sharded_ ? sharded_->RangeSum(lo, hi, options)
+                  : mono_->RangeSum(lo, hi, options);
 }
 
 ServingStats ServeHandle::stats() const {

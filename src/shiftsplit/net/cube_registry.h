@@ -55,10 +55,11 @@ class ServeHandle {
   Status Update(const Tensor& deltas, std::span<const uint64_t> origin,
                 OperationContext* ctx);
 
-  /// Exact point query (max_error == 0) — wrapped as an exact
-  /// DegradedResult; with max_error > 0 on a sharded store the degradable
-  /// router path answers within the bound. Monolithic stores always answer
-  /// exactly (there is no shard to skip).
+  /// Point query (scaling-slot strategy) and range sum under
+  /// QueryOptions::max_error: 0 answers exactly or fails with the failed
+  /// fetch's own status; > 0 lets monolithic and sharded stores alike
+  /// degrade — skipped blocks, and on sharded stores skipped shards —
+  /// within that bound.
   Result<DegradedResult> PointQuery(std::span<const uint64_t> point,
                                     double max_error, OperationContext* ctx);
   Result<DegradedResult> RangeSum(std::span<const uint64_t> lo,

@@ -286,6 +286,19 @@ Status ServingCube::Update(const Tensor& deltas,
 Result<double> ServingCube::PointQuery(std::span<const uint64_t> point,
                                        bool use_scaling_slots,
                                        OperationContext* ctx) {
+  return ExactValue(PointQuery(
+      point, QueryOptions{.use_scaling_slots = use_scaling_slots,
+                          .context = ctx}));
+}
+
+Result<double> ServingCube::RangeSum(std::span<const uint64_t> lo,
+                                     std::span<const uint64_t> hi,
+                                     OperationContext* ctx) {
+  return ExactValue(RangeSum(lo, hi, QueryOptions{.context = ctx}));
+}
+
+Result<DegradedResult> ServingCube::PointQuery(std::span<const uint64_t> point,
+                                               const QueryOptions& options) {
   SS_RETURN_IF_ERROR(CheckHealthy());
   // Snapshot before the latch: the drain horizon can no longer pass our
   // sequence number, so every delta <= snap is either still in the buffer
@@ -300,17 +313,14 @@ Result<double> ServingCube::PointQuery(std::span<const uint64_t> point,
   // half-applied store the discard left behind.
   SS_RETURN_IF_ERROR(CheckHealthy());
   DeltaBuffer::OverlayView view(buffer_.get(), snap);
-  QueryOptions q;
-  q.norm = cube_->manifest().norm;
-  q.use_scaling_slots = use_scaling_slots;
-  q.context = ctx;
+  QueryOptions q = options;
   q.overlay = &view;
-  return PointQueryStandard(cube_->store(), cube_->log_dims(), point, q);
+  return cube_->PointQuery(point, q);
 }
 
-Result<double> ServingCube::RangeSum(std::span<const uint64_t> lo,
-                                     std::span<const uint64_t> hi,
-                                     OperationContext* ctx) {
+Result<DegradedResult> ServingCube::RangeSum(std::span<const uint64_t> lo,
+                                             std::span<const uint64_t> hi,
+                                             const QueryOptions& options) {
   SS_RETURN_IF_ERROR(CheckHealthy());
   DeltaBuffer::Snapshot snap(buffer_.get());
   const auto wait_start = std::chrono::steady_clock::now();
@@ -318,11 +328,9 @@ Result<double> ServingCube::RangeSum(std::span<const uint64_t> lo,
   latch_wait_us_.fetch_add(ElapsedUs(wait_start), std::memory_order_relaxed);
   SS_RETURN_IF_ERROR(CheckHealthy());  // see PointQuery: Abandon() race
   DeltaBuffer::OverlayView view(buffer_.get(), snap);
-  QueryOptions q;
-  q.norm = cube_->manifest().norm;
-  q.context = ctx;
+  QueryOptions q = options;
   q.overlay = &view;
-  return RangeSumStandard(cube_->store(), cube_->log_dims(), lo, hi, q);
+  return cube_->RangeSum(lo, hi, q);
 }
 
 Status ServingCube::DrainOnce() {

@@ -139,6 +139,19 @@ class ServingCube {
                           std::span<const uint64_t> hi,
                           OperationContext* ctx = nullptr);
 
+  /// \brief Point query under `options` with pending deltas merged in (the
+  /// cube's norm and overlay replace options.norm/overlay). With
+  /// options.max_error > 0 a block that fails with a degradable code is
+  /// skipped per QueryOptions::max_error — its pending deltas still count,
+  /// the bound covers only its stored coefficients.
+  Result<DegradedResult> PointQuery(std::span<const uint64_t> point,
+                                    const QueryOptions& options);
+
+  /// \brief Range sum under `options`; see the QueryOptions PointQuery.
+  Result<DegradedResult> RangeSum(std::span<const uint64_t> lo,
+                                  std::span<const uint64_t> hi,
+                                  const QueryOptions& options);
+
   /// \brief Synchronously drains until every accepted delta is applied.
   /// Fails as kUnavailable if concurrent queries pin the drain horizon
   /// indefinitely.

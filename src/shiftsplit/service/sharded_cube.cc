@@ -340,42 +340,15 @@ Status ShardedCube::Update(const Tensor& deltas,
 Result<double> ShardedCube::PointQuery(std::span<const uint64_t> point,
                                        bool use_scaling_slots,
                                        OperationContext* ctx) {
-  SS_ASSIGN_OR_RETURN(const uint32_t shard, router_.RoutePoint(point));
-  Status why;
-  const std::shared_ptr<ServingCube> cube = AcquireServing(shard, &why);
-  if (cube == nullptr) return why;
-  const Result<double> result =
-      cube->PointQuery(router_.ToLocal(point, shard), use_scaling_slots,
-                       ctx);
-  if (!result.ok() && cube->health() == ShardHealth::kQuarantined &&
-      !MarkRepairing(shard, cube)) {
-    NoteQuarantined(shard, cube);
-  }
-  return result;
+  return ExactValue(PointQuery(
+      point, QueryOptions{.use_scaling_slots = use_scaling_slots,
+                          .context = ctx}));
 }
 
 Result<double> ShardedCube::RangeSum(std::span<const uint64_t> lo,
                                      std::span<const uint64_t> hi,
                                      OperationContext* ctx) {
-  SS_ASSIGN_OR_RETURN(std::vector<ShardRange> parts,
-                      router_.DecomposeRange(lo, hi));
-  double sum = 0.0;
-  for (const ShardRange& part : parts) {
-    Status why;
-    const std::shared_ptr<ServingCube> cube =
-        AcquireServing(part.shard, &why);
-    if (cube == nullptr) return why;  // exact mode: fail fast, no stall
-    const Result<double> shard_sum = cube->RangeSum(part.lo, part.hi, ctx);
-    if (!shard_sum.ok()) {
-      if (cube->health() == ShardHealth::kQuarantined &&
-          !MarkRepairing(part.shard, cube)) {
-        NoteQuarantined(part.shard, cube);
-      }
-      return shard_sum.status();
-    }
-    sum += *shard_sum;
-  }
-  return sum;
+  return ExactValue(RangeSum(lo, hi, QueryOptions{.context = ctx}));
 }
 
 double ShardedCube::ShardSkipBound(uint32_t shard,
@@ -402,6 +375,42 @@ double ShardedCube::ShardSkipBound(uint32_t shard,
   return std::sqrt(weight_sq) * ceiling + pending;
 }
 
+template <typename Query>
+Status ShardedCube::QueryShard(uint32_t shard, std::span<const uint64_t> lo,
+                               std::span<const uint64_t> hi,
+                               const QueryOptions& options, const Query& query,
+                               DegradedResult* out) {
+  Status why;
+  if (const std::shared_ptr<ServingCube> cube = AcquireServing(shard, &why)) {
+    // The shard's own evaluator absorbs every degradable block failure; the
+    // caller's max_error is checked once, on the total.
+    QueryOptions shard_options = options;
+    shard_options.max_error =
+        options.approx_ok() ? std::numeric_limits<double>::infinity() : 0.0;
+    const Result<DegradedResult> part = query(*cube, shard_options);
+    if (part.ok()) {
+      out->value += part->value;
+      out->error_bound += part->error_bound;
+      out->blocks_missing += part->blocks_missing;
+      if (out->reason == DegradedReason::kNone) out->reason = part->reason;
+      return Status::OK();
+    }
+    // Any other failure of a serving shard is the caller's to see; only a
+    // shard that poisoned itself during the query is skipped whole.
+    if (cube->health() != ShardHealth::kQuarantined) return part.status();
+    if (!MarkRepairing(shard, cube)) NoteQuarantined(shard, cube);
+    why = part.status();
+  }
+  if (!options.approx_ok()) return why;  // exact mode: fail fast, no stall
+  out->error_bound += ShardSkipBound(shard, lo, hi);
+  out->blocks_missing += blocks_per_shard_;
+  out->shards_missing.push_back(shard);
+  if (out->reason == DegradedReason::kNone) {
+    out->reason = DegradedReason::kShardUnavailable;
+  }
+  return Status::OK();
+}
+
 Result<DegradedResult> ShardedCube::RangeSum(std::span<const uint64_t> lo,
                                              std::span<const uint64_t> hi,
                                              const QueryOptions& options) {
@@ -409,42 +418,14 @@ Result<DegradedResult> ShardedCube::RangeSum(std::span<const uint64_t> lo,
                       router_.DecomposeRange(lo, hi));
   DegradedResult out;
   for (const ShardRange& part : parts) {
-    Status why;
-    const std::shared_ptr<ServingCube> cube =
-        AcquireServing(part.shard, &why);
-    if (cube != nullptr) {
-      const Result<double> shard_sum =
-          cube->RangeSum(part.lo, part.hi, options.context);
-      if (shard_sum.ok()) {
-        out.value += *shard_sum;
-        continue;
-      }
-      if (cube->health() == ShardHealth::kQuarantined &&
-          !MarkRepairing(part.shard, cube)) {
-        NoteQuarantined(part.shard, cube);
-      }
-      why = shard_sum.status();
-      // Caller mistakes and explicit aborts are never papered over by a
-      // degraded answer.
-      if (why.code() == StatusCode::kInvalidArgument ||
-          why.code() == StatusCode::kOutOfRange ||
-          why.code() == StatusCode::kCancelled ||
-          why.code() == StatusCode::kDeadlineExceeded) {
-        return why;
-      }
-    }
-    if (!options.approx_ok()) return why;
-    out.error_bound += ShardSkipBound(part.shard, part.lo, part.hi);
-    out.blocks_missing += blocks_per_shard_;
-    out.shards_missing.push_back(part.shard);
-    out.reason = DegradedReason::kShardUnavailable;
+    SS_RETURN_IF_ERROR(QueryShard(
+        part.shard, part.lo, part.hi, options,
+        [&](ServingCube& cube, const QueryOptions& q) {
+          return cube.RangeSum(part.lo, part.hi, q);
+        },
+        &out));
   }
-  if (!out.exact() && !(out.error_bound <= options.max_error)) {
-    return Status::Unavailable(
-        "degraded range sum error bound " + std::to_string(out.error_bound) +
-        " exceeds max_error " + std::to_string(options.max_error) + " (" +
-        std::to_string(out.shards_missing.size()) + " shards unavailable)");
-  }
+  SS_RETURN_IF_ERROR(CheckErrorBound(out, options, "range sum"));
   return out;
 }
 
@@ -452,41 +433,16 @@ Result<DegradedResult> ShardedCube::PointQuery(
     std::span<const uint64_t> point, const QueryOptions& options) {
   SS_ASSIGN_OR_RETURN(const uint32_t shard, router_.RoutePoint(point));
   const std::vector<uint64_t> local = router_.ToLocal(point, shard);
-  Status why;
-  const std::shared_ptr<ServingCube> cube = AcquireServing(shard, &why);
   DegradedResult out;
-  if (cube != nullptr) {
-    const Result<double> value =
-        cube->PointQuery(local, options.use_scaling_slots, options.context);
-    if (value.ok()) {
-      out.value = *value;
-      return out;
-    }
-    if (cube->health() == ShardHealth::kQuarantined &&
-        !MarkRepairing(shard, cube)) {
-      NoteQuarantined(shard, cube);
-    }
-    why = value.status();
-    if (why.code() == StatusCode::kInvalidArgument ||
-        why.code() == StatusCode::kOutOfRange ||
-        why.code() == StatusCode::kCancelled ||
-        why.code() == StatusCode::kDeadlineExceeded) {
-      return why;
-    }
-  }
-  if (!options.approx_ok()) return why;
-  // A single-cell box range sum equals the point value, so the range bound
-  // applies verbatim with lo = hi = the point.
-  out.error_bound += ShardSkipBound(shard, local, local);
-  out.blocks_missing += blocks_per_shard_;
-  out.shards_missing.push_back(shard);
-  out.reason = DegradedReason::kShardUnavailable;
-  if (!(out.error_bound <= options.max_error)) {
-    return Status::Unavailable(
-        "degraded point query error bound " +
-        std::to_string(out.error_bound) + " exceeds max_error " +
-        std::to_string(options.max_error));
-  }
+  // A single-cell box range sum equals the point value, so a skipped
+  // shard's range bound applies verbatim with lo = hi = the point.
+  SS_RETURN_IF_ERROR(QueryShard(
+      shard, local, local, options,
+      [&](ServingCube& cube, const QueryOptions& q) {
+        return cube.PointQuery(local, q);
+      },
+      &out));
+  SS_RETURN_IF_ERROR(CheckErrorBound(out, options, "point query"));
   return out;
 }
 

@@ -192,21 +192,27 @@ class ShardedCube {
                           std::span<const uint64_t> hi,
                           OperationContext* ctx = nullptr);
 
-  /// \brief Degradable range sum. With options.max_error > 0, parts owned
-  /// by QUARANTINED/RECOVERING/FAILED shards are skipped: the result lists
-  /// them in shards_missing and accumulates an error bound per skipped
-  /// part — sqrt(Π_d RangeWeightNormSquared) × the shard's last tracked
-  /// energy ceiling plus the absolute mass of its unapplied deltas
-  /// (Cauchy–Schwarz over the Lemma-2 term set; see core/query.h). Fails
-  /// kUnavailable when the accumulated bound exceeds max_error. With
-  /// max_error == 0 this is the exact path: any unhealthy shard fails the
-  /// query fast with its health attached.
+  /// \brief Range sum under `options` (QueryOptions::max_error is the one
+  /// exact/degraded switch). Each serving shard answers its part with
+  /// max_error = +inf when the caller accepts approximation (0 otherwise),
+  /// so block-level degradation happens inside the shard; the parts merge
+  /// in ascending shard order — values, bounds and blocks_missing sum, and
+  /// `reason` is the first non-kNone one. A part is skipped whole only when
+  /// its shard is not serving (QUARANTINED/RECOVERING/FAILED) or poisoned
+  /// itself during the query: it is listed in shards_missing and adds
+  /// sqrt(Π_d RangeWeightNormSquared) × the shard's last tracked energy
+  /// ceiling plus the absolute mass of its unapplied deltas (Cauchy–Schwarz
+  /// over the Lemma-2 term set; see core/query.h). Any other shard error
+  /// propagates. The caller's max_error is checked once, on the total
+  /// (kUnavailable when exceeded); with max_error == 0 an unhealthy shard
+  /// fails the query fast with its health attached.
   Result<DegradedResult> RangeSum(std::span<const uint64_t> lo,
                                   std::span<const uint64_t> hi,
                                   const QueryOptions& options);
 
-  /// \brief Degradable point query; same contract as the degradable
-  /// RangeSum with the point's reconstruction weights as the bound.
+  /// \brief Point query under `options`; same contract as the QueryOptions
+  /// RangeSum, with the point's reconstruction weights as a skipped shard's
+  /// bound.
   Result<DegradedResult> PointQuery(std::span<const uint64_t> point,
                                     const QueryOptions& options);
 
@@ -341,6 +347,13 @@ class ShardedCube {
                     double delta, OperationContext* ctx, bool durable_ack,
                     uint64_t* seq_out, bool* parked_out,
                     std::shared_ptr<ServingCube>* cube_out = nullptr);
+  /// Answers `shard`'s part [lo, hi] of a query through `query(cube,
+  /// shard_options)` and merges it into `out`, or skips the shard whole per
+  /// the QueryOptions RangeSum contract. Errors the query must fail with.
+  template <typename Query>
+  Status QueryShard(uint32_t shard, std::span<const uint64_t> lo,
+                    std::span<const uint64_t> hi, const QueryOptions& options,
+                    const Query& query, DegradedResult* out);
   /// Error-bound contribution of skipping `shard`'s part [lo, hi]
   /// (global, inclusive): Cauchy–Schwarz weight norm × energy ceiling +
   /// unapplied-delta mass.

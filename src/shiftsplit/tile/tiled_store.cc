@@ -211,8 +211,8 @@ Status TiledStore::EnableEnergyTracking() {
     auto page = pool_.GetBlock(block, /*for_write=*/false);
     if (!page.ok()) {
       // Best-effort scan: an unreadable (corrupt, quarantined, failing)
-      // block stays at the untracked +infinity ceiling so resilient
-      // queries can still degrade around it with an honest bound.
+      // block stays at the untracked +infinity ceiling so degradable
+      // queries can still skip it with an honest bound.
       energy[block] = std::numeric_limits<double>::infinity();
       continue;
     }

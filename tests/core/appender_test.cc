@@ -134,7 +134,8 @@ TEST(AppenderTest, QueriesWorkAfterAppendsAndExpansions) {
       std::vector<uint64_t> point{x, t};
       ASSERT_OK_AND_ASSIGN(
           const double v,
-          PointQueryStandard(appender->store(), log_dims, point, q));
+          ExactValue(PointQueryStandard(appender->store(), log_dims, point,
+                                        q)));
       std::vector<uint64_t> s{x, t % 4};
       EXPECT_NEAR(v, slabs[t / 4].At(s), 1e-9) << x << "," << t;
     }
@@ -158,8 +159,8 @@ TEST(AppenderTest, ScalingSlotRebuildKeepsSlotQueriesCorrect) {
       std::vector<uint64_t> point{x, t};
       ASSERT_OK_AND_ASSIGN(
           const double v,
-          PointQueryStandard(appender->store(), appender->log_dims(), point,
-                             q));
+          ExactValue(PointQueryStandard(appender->store(), appender->log_dims(),
+                                        point, q)));
       std::vector<uint64_t> s{x, t % 4};
       EXPECT_NEAR(v, slabs[t / 4].At(s), 1e-9);
     }

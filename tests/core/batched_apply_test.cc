@@ -174,20 +174,20 @@ TEST_P(BatchedParityTest, NonstandardStoreIsBitIdentical) {
   ExpectBitIdentical(reference.manager.get(), batched.manager.get());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, BatchedParityTest,
-    ::testing::Values(
-        ParityCase{ApplyMode::kConstruct, true, false,
-                   Normalization::kAverage},
-        ParityCase{ApplyMode::kConstruct, true, false,
-                   Normalization::kOrthonormal},
-        ParityCase{ApplyMode::kConstruct, false, false,
-                   Normalization::kAverage},
-        ParityCase{ApplyMode::kUpdate, true, false, Normalization::kAverage},
-        ParityCase{ApplyMode::kUpdate, false, false,
-                   Normalization::kOrthonormal},
-        ParityCase{ApplyMode::kConstruct, true, true,
-                   Normalization::kAverage}));
+// gtest names each case by the raw bytes of its ParityCase, padding
+// included. A static array has zeroed padding, so the names are the same on
+// every build; temporaries would leave stack garbage in it.
+constexpr ParityCase kParityCases[] = {
+    {ApplyMode::kConstruct, true, false, Normalization::kAverage},
+    {ApplyMode::kConstruct, true, false, Normalization::kOrthonormal},
+    {ApplyMode::kConstruct, false, false, Normalization::kAverage},
+    {ApplyMode::kUpdate, true, false, Normalization::kAverage},
+    {ApplyMode::kUpdate, false, false, Normalization::kOrthonormal},
+    {ApplyMode::kConstruct, true, true, Normalization::kAverage},
+};
+
+INSTANTIATE_TEST_SUITE_P(Cases, BatchedParityTest,
+                         ::testing::ValuesIn(kParityCases));
 
 TEST(BatchedParityTest, NaiveLayoutIsBitIdentical) {
   // Exercises the plan builder's address -> Locate branch (no per-dim parts,

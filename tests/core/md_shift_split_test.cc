@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "shiftsplit/storage/memory_block_manager.h"
 #include "shiftsplit/tile/naive_tiling.h"
 #include "shiftsplit/tile/nonstandard_tiling.h"
 #include "shiftsplit/tile/standard_tiling.h"
+#include "shiftsplit/wavelet/haar.h"
 #include "shiftsplit/wavelet/nonstandard_transform.h"
 #include "shiftsplit/wavelet/standard_transform.h"
 #include "testing.h"
@@ -61,6 +63,20 @@ struct MdCase {
   std::vector<uint32_t> log_chunk;
   Normalization norm;
 };
+
+// gtest prints the parameter into the test's name; the default byte dump
+// would include the vectors' heap pointers, which change from run to run.
+// Prints e.g. "n4x4_m2x2_average": n are the log_dims, m the log_chunk.
+void PrintTo(const MdCase& c, std::ostream* os) {
+  const auto print_extents = [os](const std::vector<uint32_t>& v) {
+    for (size_t i = 0; i < v.size(); ++i) *os << (i == 0 ? "" : "x") << v[i];
+  };
+  *os << "n";
+  print_extents(c.log_dims);
+  *os << "_m";
+  print_extents(c.log_chunk);
+  *os << "_" << NormalizationToString(c.norm);
+}
 
 class ApplyChunkStandardTest : public ::testing::TestWithParam<MdCase> {};
 

@@ -116,9 +116,10 @@ TEST(ProgressiveRangeSumTest, FinalRoundIsExact) {
   const std::vector<uint32_t> log_dims{4, 4};
   Bundle bundle = LoadedStandard(log_dims, 41);
   std::vector<uint64_t> lo{2, 5}, hi{13, 11};
-  ASSERT_OK_AND_ASSIGN(const double exact,
-                       RangeSumStandard(bundle.store.get(), log_dims, lo, hi,
-                                        QueryOptions{}));
+  ASSERT_OK_AND_ASSIGN(
+      const double exact,
+      ExactValue(RangeSumStandard(bundle.store.get(), log_dims, lo, hi,
+                                  QueryOptions{})));
   ASSERT_OK_AND_ASSIGN(
       const auto rounds,
       ProgressiveRangeSumStandard(bundle.store.get(), log_dims, lo, hi,

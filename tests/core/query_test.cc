@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "shiftsplit/core/md_shift_split.h"
 #include "shiftsplit/wavelet/standard_transform.h"
 #include "shiftsplit/storage/memory_block_manager.h"
@@ -14,6 +16,12 @@ namespace shiftsplit {
 namespace {
 
 using testing::RandomVector;
+
+// The degradable spelling of a query: any degraded answer beats none.
+QueryOptions Approx(QueryOptions options) {
+  options.max_error = std::numeric_limits<double>::infinity();
+  return options;
+}
 
 struct Bundle {
   std::unique_ptr<MemoryBlockManager> manager;
@@ -71,7 +79,8 @@ TEST_P(PointQueryTest, StandardEveryPoint) {
   do {
     ASSERT_OK_AND_ASSIGN(
         const double v,
-        PointQueryStandard(bundle.store.get(), log_dims, point, options));
+        ExactValue(PointQueryStandard(bundle.store.get(), log_dims, point,
+                                      options)));
     ASSERT_NEAR(v, bundle.data.At(point), 1e-9);
   } while (bundle.data.shape().Next(point));
 }
@@ -157,7 +166,7 @@ TEST(PointQueryTest, FallsBackToPathsOnNaiveLayout) {
   std::vector<uint64_t> point{5, 6};
   ASSERT_OK_AND_ASSIGN(
       const double v,
-      PointQueryStandard(store.get(), log_dims, point, options));
+      ExactValue(PointQueryStandard(store.get(), log_dims, point, options)));
   EXPECT_NEAR(v, data.At(point), 1e-9);
 }
 
@@ -224,7 +233,8 @@ TEST_P(RangeSumTest, StandardMatchesBruteForce) {
     }
     ASSERT_OK_AND_ASSIGN(
         const double sum,
-        RangeSumStandard(bundle.store.get(), log_dims, lo, hi, options));
+        ExactValue(RangeSumStandard(bundle.store.get(), log_dims, lo, hi,
+                                    options)));
     EXPECT_NEAR(sum, brute, 1e-8);
   }
 }
@@ -287,7 +297,8 @@ TEST(BatchPointQueryTest, ResultsMatchIndividualQueries) {
                               slot_mode));
   ASSERT_EQ(batch.size(), points.size());
   for (size_t i = 0; i < points.size(); ++i) {
-    EXPECT_NEAR(batch[i], bundle.data.At(points[i]), 1e-9) << "point " << i;
+    EXPECT_NEAR(batch[i].value, bundle.data.At(points[i]), 1e-9)
+        << "point " << i;
   }
 }
 
@@ -355,8 +366,8 @@ TEST(BatchPointQueryTest, EmptyBatchSucceedsWithoutIo) {
     EXPECT_TRUE(batch.empty());
     ASSERT_OK_AND_ASSIGN(
         const auto resilient,
-        BatchPointQueryStandardResilient(bundle.store.get(), log_dims, none,
-                                         options));
+        BatchPointQueryStandard(bundle.store.get(), log_dims, none,
+                                Approx(options)));
     EXPECT_TRUE(resilient.empty());
   }
   EXPECT_EQ(bundle.manager->stats().block_reads, 0u);
@@ -378,11 +389,12 @@ TEST(BatchPointQueryTest, DuplicatePointsAllAnswerInInputOrder) {
                               slot_mode));
   ASSERT_EQ(batch.size(), points.size());
   for (size_t i = 0; i < points.size(); ++i) {
-    EXPECT_NEAR(batch[i], bundle.data.At(points[i]), 1e-9) << "point " << i;
+    EXPECT_NEAR(batch[i].value, bundle.data.At(points[i]), 1e-9)
+        << "point " << i;
   }
-  EXPECT_EQ(batch[0], batch[2]);
-  EXPECT_EQ(batch[2], batch[4]);
-  EXPECT_EQ(batch[1], batch[5]);
+  EXPECT_EQ(batch[0].value, batch[2].value);
+  EXPECT_EQ(batch[2].value, batch[4].value);
+  EXPECT_EQ(batch[1].value, batch[5].value);
 }
 
 TEST(BatchPointQueryTest, OutOfRangePointFailsUpFrontWithoutIo) {
@@ -402,8 +414,8 @@ TEST(BatchPointQueryTest, OutOfRangePointFailsUpFrontWithoutIo) {
   EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
   EXPECT_EQ(bundle.manager->stats().block_reads, 0u);
 
-  const auto resilient = BatchPointQueryStandardResilient(
-      bundle.store.get(), log_dims, points, slot_mode);
+  const auto resilient = BatchPointQueryStandard(bundle.store.get(), log_dims,
+                                                 points, Approx(slot_mode));
   ASSERT_FALSE(resilient.ok());
   EXPECT_EQ(resilient.status().code(), StatusCode::kOutOfRange);
   EXPECT_EQ(bundle.manager->stats().block_reads, 0u);
@@ -423,11 +435,12 @@ TEST(ResilientQueryTest, MatchesExactPathBitForBitWhenHealthy) {
   do {
     ASSERT_OK_AND_ASSIGN(
         const double exact,
-        PointQueryStandard(bundle.store.get(), log_dims, point, options));
-    ASSERT_OK_AND_ASSIGN(const DegradedResult r,
-                         PointQueryStandardResilient(bundle.store.get(),
-                                                     log_dims, point,
-                                                     options));
+        ExactValue(PointQueryStandard(bundle.store.get(), log_dims, point,
+                                      options)));
+    ASSERT_OK_AND_ASSIGN(
+        const DegradedResult r,
+        PointQueryStandard(bundle.store.get(), log_dims, point,
+                           Approx(options)));
     EXPECT_TRUE(r.exact());
     EXPECT_EQ(r.value, exact);
   } while (bundle.data.shape().Next(point));
@@ -435,10 +448,11 @@ TEST(ResilientQueryTest, MatchesExactPathBitForBitWhenHealthy) {
   const std::vector<uint64_t> lo{1, 2}, hi{13, 6};
   ASSERT_OK_AND_ASSIGN(
       const double exact_sum,
-      RangeSumStandard(bundle.store.get(), log_dims, lo, hi, options));
-  ASSERT_OK_AND_ASSIGN(const DegradedResult sum,
-                       RangeSumStandardResilient(bundle.store.get(),
-                                                 log_dims, lo, hi, options));
+      ExactValue(RangeSumStandard(bundle.store.get(), log_dims, lo, hi,
+                                  options)));
+  ASSERT_OK_AND_ASSIGN(
+      const DegradedResult sum,
+      RangeSumStandard(bundle.store.get(), log_dims, lo, hi, Approx(options)));
   EXPECT_TRUE(sum.exact());
   EXPECT_EQ(sum.value, exact_sum);
 }

@@ -8,7 +8,8 @@
 // failing run can be replayed exactly; tools/check.sh pins it.
 //
 // Invariants exercised:
-//  * fault-free resilient answers are bit-identical to the exact path;
+//  * fault-free degradable answers (max_error > 0) are bit-identical to
+//    exact ones;
 //  * degraded answers stay within their reported error bound;
 //  * a wedged query returns within one block read of its deadline;
 //  * the concurrent phase finishes (no hangs) with only sane statuses.
@@ -19,6 +20,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -122,6 +124,12 @@ std::vector<std::vector<uint64_t>> RandomPoints(
   return out;
 }
 
+// The degradable spelling of a query: any degraded answer beats none.
+QueryOptions Approx(QueryOptions options) {
+  options.max_error = std::numeric_limits<double>::infinity();
+  return options;
+}
+
 RetryPolicy FastRetry() {
   RetryPolicy r;
   r.max_retries = 3;
@@ -131,8 +139,8 @@ RetryPolicy FastRetry() {
   return r;
 }
 
-// Fault-free: the resilient path must be bit-identical to the exact path —
-// same term enumeration, same accumulation order.
+// Fault-free: a degradable query must be bit-identical to an exact one —
+// it is the same evaluation.
 TEST(ChaosSoakTest, FaultFreeResilientIsBitIdentical) {
   const uint64_t seed = ChaosSeed();
   ChaosRig rig = MakeRig({4, 3}, seed, 512);
@@ -142,11 +150,12 @@ TEST(ChaosSoakTest, FaultFreeResilientIsBitIdentical) {
   for (const RangeQ& q : RandomRanges(rig.log_dims, 24, seed)) {
     ASSERT_OK_AND_ASSIGN(
         const double exact,
-        RangeSumStandard(rig.store.get(), rig.log_dims, q.lo, q.hi, options));
-    ASSERT_OK_AND_ASSIGN(const DegradedResult r,
-                         RangeSumStandardResilient(rig.store.get(),
-                                                   rig.log_dims, q.lo, q.hi,
-                                                   options));
+        ExactValue(RangeSumStandard(rig.store.get(), rig.log_dims, q.lo, q.hi,
+                                    options)));
+    ASSERT_OK_AND_ASSIGN(
+        const DegradedResult r,
+        RangeSumStandard(rig.store.get(), rig.log_dims, q.lo, q.hi,
+                         Approx(options)));
     EXPECT_TRUE(r.exact());
     EXPECT_EQ(r.value, exact);  // bit-identical, not just near
     EXPECT_EQ(r.error_bound, 0.0);
@@ -157,11 +166,12 @@ TEST(ChaosSoakTest, FaultFreeResilientIsBitIdentical) {
     for (const auto& p : RandomPoints(rig.log_dims, 24, seed)) {
       ASSERT_OK_AND_ASSIGN(
           const double exact,
-          PointQueryStandard(rig.store.get(), rig.log_dims, p, options));
+          ExactValue(PointQueryStandard(rig.store.get(), rig.log_dims, p,
+                                        options)));
       ASSERT_OK_AND_ASSIGN(
           const DegradedResult r,
-          PointQueryStandardResilient(rig.store.get(), rig.log_dims, p,
-                                      options));
+          PointQueryStandard(rig.store.get(), rig.log_dims, p,
+                             Approx(options)));
       EXPECT_TRUE(r.exact());
       EXPECT_EQ(r.value, exact);
     }
@@ -182,10 +192,10 @@ TEST(ChaosSoakTest, QuarantineDegradesWithinBound) {
   const auto queries = RandomRanges(rig.log_dims, 24, seed);
   std::vector<double> exact(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_OK_AND_ASSIGN(exact[i],
-                         RangeSumStandard(rig.store.get(), rig.log_dims,
-                                          queries[i].lo, queries[i].hi,
-                                          options));
+    ASSERT_OK_AND_ASSIGN(
+        exact[i],
+        ExactValue(RangeSumStandard(rig.store.get(), rig.log_dims,
+                                    queries[i].lo, queries[i].hi, options)));
   }
 
   // Every range sum touches the overall scaling coefficient, so its block
@@ -218,9 +228,8 @@ TEST(ChaosSoakTest, QuarantineDegradesWithinBound) {
   auto run = [&]() {
     std::vector<Outcome> out;
     for (size_t i = 0; i < queries.size(); ++i) {
-      auto r = RangeSumStandardResilient(rig.store.get(), rig.log_dims,
-                                         queries[i].lo, queries[i].hi,
-                                         options);
+      auto r = RangeSumStandard(rig.store.get(), rig.log_dims, queries[i].lo,
+                                queries[i].hi, Approx(options));
       EXPECT_TRUE(r.ok()) << r.status().ToString();
       if (!r.ok()) continue;
       const DegradedResult& d = *r;
@@ -258,9 +267,10 @@ TEST(ChaosSoakTest, QuarantineDegradesWithinBound) {
   const auto points = RandomPoints(rig.log_dims, 8, seed);
   std::vector<double> point_exact(points.size());
   for (size_t i = 0; i < points.size(); ++i) {
-    ASSERT_OK_AND_ASSIGN(point_exact[i],
-                         PointQueryStandard(rig.store.get(), rig.log_dims,
-                                            points[i], options));
+    ASSERT_OK_AND_ASSIGN(
+        point_exact[i],
+        ExactValue(PointQueryStandard(rig.store.get(), rig.log_dims, points[i],
+                                      options)));
   }
   rig.faults->InjectReadStatus(
       root.block, Status::ChecksumMismatch("injected quarantine"));
@@ -269,8 +279,8 @@ TEST(ChaosSoakTest, QuarantineDegradesWithinBound) {
   for (size_t i = 0; i < points.size(); ++i) {
     ASSERT_OK_AND_ASSIGN(
         const DegradedResult r,
-        PointQueryStandardResilient(rig.store.get(), rig.log_dims, points[i],
-                                    options));
+        PointQueryStandard(rig.store.get(), rig.log_dims, points[i],
+                           Approx(options)));
     if (r.blocks_missing > 0) {
       ++degraded_points;
       EXPECT_EQ(r.reason, DegradedReason::kQuarantined);
@@ -284,7 +294,7 @@ TEST(ChaosSoakTest, QuarantineDegradesWithinBound) {
 
 // Enabling energy tracking on an already-damaged store must not fail: the
 // scan is best-effort, the unreadable block keeps the +infinity ceiling,
-// and resilient queries degrade around it with an honest (infinite) bound.
+// and degradable queries skip it with an honest (infinite) bound.
 TEST(ChaosSoakTest, EnergyScanToleratesUnreadableBlocks) {
   const uint64_t seed = ChaosSeed();
   ChaosRig rig = MakeRig({4, 3}, seed, 2);
@@ -305,8 +315,8 @@ TEST(ChaosSoakTest, EnergyScanToleratesUnreadableBlocks) {
   for (const RangeQ& q : queries) {
     ASSERT_OK_AND_ASSIGN(
         const DegradedResult r,
-        RangeSumStandardResilient(rig.store.get(), rig.log_dims, q.lo, q.hi,
-                                  options));
+        RangeSumStandard(rig.store.get(), rig.log_dims, q.lo, q.hi,
+                         Approx(options)));
     if (r.blocks_missing > 0) {
       ++degraded;
       EXPECT_EQ(r.reason, DegradedReason::kQuarantined);
@@ -326,10 +336,10 @@ TEST(ChaosSoakTest, TransientFailuresRetriedToExact) {
   const auto queries = RandomRanges(rig.log_dims, 16, seed + 1);
   std::vector<double> exact(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_OK_AND_ASSIGN(exact[i],
-                         RangeSumStandard(rig.store.get(), rig.log_dims,
-                                          queries[i].lo, queries[i].hi,
-                                          options));
+    ASSERT_OK_AND_ASSIGN(
+        exact[i],
+        ExactValue(RangeSumStandard(rig.store.get(), rig.log_dims,
+                                    queries[i].lo, queries[i].hi, options)));
   }
 
   rig.faults->FailEveryNthRead(3);
@@ -345,11 +355,10 @@ TEST(ChaosSoakTest, TransientFailuresRetriedToExact) {
     ctx.set_retry_policy(policy);
     ctx.set_jitter_seed(seed + i);
     options.context = &ctx;
-    ASSERT_OK_AND_ASSIGN(const DegradedResult r,
-                         RangeSumStandardResilient(rig.store.get(),
-                                                   rig.log_dims,
-                                                   queries[i].lo,
-                                                   queries[i].hi, options));
+    ASSERT_OK_AND_ASSIGN(
+        const DegradedResult r,
+        RangeSumStandard(rig.store.get(), rig.log_dims, queries[i].lo,
+                         queries[i].hi, Approx(options)));
     EXPECT_TRUE(r.exact()) << "query " << i << " degraded: "
                            << DegradedReasonToString(r.reason);
     EXPECT_EQ(r.value, exact[i]);
@@ -379,8 +388,8 @@ TEST(ChaosSoakTest, DeadlineCutsLatencySpikes) {
     OperationContext ctx(kDeadline);
     options.context = &ctx;
     const auto t0 = Clock::now();
-    auto r = RangeSumStandardResilient(rig.store.get(), rig.log_dims, q.lo,
-                                       q.hi, options);
+    auto r = RangeSumStandard(rig.store.get(), rig.log_dims, q.lo, q.hi,
+                              Approx(options));
     const auto elapsed = Clock::now() - t0;
     EXPECT_LT(elapsed, kDeadline + kSpike + kSlack);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -403,8 +412,8 @@ TEST(ChaosSoakTest, CancellationPropagates) {
   options.context = &ctx;
   const std::vector<uint64_t> lo{0, 0};
   const std::vector<uint64_t> hi{7, 7};
-  auto r = RangeSumStandardResilient(rig.store.get(), rig.log_dims, lo, hi,
-                                     options);
+  auto r = RangeSumStandard(rig.store.get(), rig.log_dims, lo, hi,
+                            Approx(options));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
@@ -463,8 +472,8 @@ TEST(ChaosSoakTest, ConcurrentSoakTerminatesWithSaneStatuses) {
       QueryOptions options;
       options.context = &ctx;
       const auto t0 = Clock::now();
-      auto r = RangeSumStandardResilient(rig.store.get(), rig.log_dims, q.lo,
-                                         q.hi, options);
+      auto r = RangeSumStandard(rig.store.get(), rig.log_dims, q.lo, q.hi,
+                                Approx(options));
       const auto elapsed = Clock::now() - t0;
       if (elapsed >= kDeadline + kSpike + kSlack) {
         ++failures;

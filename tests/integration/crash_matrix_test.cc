@@ -396,7 +396,9 @@ TEST_P(CrashMatrixTest, AppenderWorkloadRecoversToACommitBoundary) {
   for (uint64_t k = 1; k <= total_ops; ++k) {
     SCOPED_TRACE("crash at device op " + std::to_string(k) +
                  (drop_unsynced ? " (dropping unsynced writes)" : ""));
-    const std::string run_dir = Subdir("a" + std::to_string(k));
+    std::string run_name = "a";
+    run_name += std::to_string(k);
+    const std::string run_dir = Subdir(run_name);
     uint64_t completed = 0;
     {
       testing::FaultInjectionBlockManager* fault = nullptr;

@@ -99,7 +99,7 @@ TEST_P(DifferentialTest, RandomOperationSequence) {
       q.use_scaling_slots = rng.NextBounded(2) == 1;
       ASSERT_OK_AND_ASSIGN(
           const double v,
-          PointQueryStandard(h.store.get(), h.log_dims, point, q));
+          ExactValue(PointQueryStandard(h.store.get(), h.log_dims, point, q)));
       ASSERT_NEAR(v, h.oracle.At(point), 1e-8)
           << "seed=" << seed << " step=" << step;
     } else if (op == 2) {
@@ -116,7 +116,7 @@ TEST_P(DifferentialTest, RandomOperationSequence) {
       q.norm = h.norm;
       ASSERT_OK_AND_ASSIGN(
           const double sum,
-          RangeSumStandard(h.store.get(), h.log_dims, lo, hi, q));
+          ExactValue(RangeSumStandard(h.store.get(), h.log_dims, lo, hi, q)));
       double brute = 0.0;
       std::vector<uint64_t> c(d);
       for (c[0] = lo[0]; c[0] <= hi[0]; ++c[0]) {
@@ -170,7 +170,7 @@ TEST_P(DifferentialTest, RandomOperationSequence) {
   do {
     ASSERT_OK_AND_ASSIGN(
         const double v,
-        PointQueryStandard(h.store.get(), h.log_dims, point, q));
+        ExactValue(PointQueryStandard(h.store.get(), h.log_dims, point, q)));
     ASSERT_NEAR(v, h.oracle.At(point), 1e-8) << "seed=" << seed;
   } while (h.oracle.shape().Next(point));
 }

@@ -44,10 +44,12 @@ TEST(EndToEndTest, TemperatureCubeStandardPipeline) {
                                 rng.NextBounded(4), rng.NextBounded(16)};
     ASSERT_OK_AND_ASSIGN(
         const double via_path,
-        PointQueryStandard(store.get(), log_dims, point, path_mode));
+        ExactValue(PointQueryStandard(store.get(), log_dims, point,
+                                      path_mode)));
     ASSERT_OK_AND_ASSIGN(
         const double via_slots,
-        PointQueryStandard(store.get(), log_dims, point, slot_mode));
+        ExactValue(PointQueryStandard(store.get(), log_dims, point,
+                                      slot_mode)));
     EXPECT_NEAR(via_path, dataset->Cell(point), 1e-8);
     EXPECT_NEAR(via_slots, dataset->Cell(point), 1e-8);
   }
@@ -60,9 +62,10 @@ TEST(EndToEndTest, TemperatureCubeStandardPipeline) {
     for (c[1] = lo[1]; c[1] <= hi[1]; ++c[1])
       for (c[2] = lo[2]; c[2] <= hi[2]; ++c[2])
         for (c[3] = lo[3]; c[3] <= hi[3]; ++c[3]) brute += dataset->Cell(c);
-  ASSERT_OK_AND_ASSIGN(const double sum,
-                       RangeSumStandard(store.get(), log_dims, lo, hi,
-                                        QueryOptions{}));
+  ASSERT_OK_AND_ASSIGN(
+      const double sum,
+      ExactValue(RangeSumStandard(store.get(), log_dims, lo, hi,
+                                  QueryOptions{})));
   EXPECT_NEAR(sum, brute, 1e-6);
 
   // Batch-update a region, then reconstruct it.
@@ -72,9 +75,9 @@ TEST(EndToEndTest, TemperatureCubeStandardPipeline) {
   ASSERT_OK(UpdateRangeStandard(store.get(), log_dims, deltas, origin,
                                 Normalization::kAverage));
   std::vector<uint64_t> q{4, 4, 2, 6};
-  ASSERT_OK_AND_ASSIGN(const double updated,
-                       PointQueryStandard(store.get(), log_dims, q,
-                                          slot_mode));
+  ASSERT_OK_AND_ASSIGN(
+      const double updated,
+      ExactValue(PointQueryStandard(store.get(), log_dims, q, slot_mode)));
   EXPECT_NEAR(updated, dataset->Cell(q) + 1.25, 1e-8);
 }
 
@@ -147,8 +150,8 @@ TEST(EndToEndTest, PrecipitationAppendScenario) {
                                 rng.NextBounded(kMonths * 32)};
     ASSERT_OK_AND_ASSIGN(
         const double v,
-        PointQueryStandard(appender->store(), appender->log_dims(), point,
-                           QueryOptions{}));
+        ExactValue(PointQueryStandard(appender->store(), appender->log_dims(),
+                                      point, QueryOptions{})));
     EXPECT_NEAR(v, dataset->Cell(point), 1e-8);
   }
 }

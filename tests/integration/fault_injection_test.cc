@@ -114,7 +114,8 @@ TEST(FaultInjectionTest, RecoveryAfterTransientFailure) {
   std::vector<uint64_t> point{9, 9};
   ASSERT_OK_AND_ASSIGN(
       const double v,
-      PointQueryStandard(store.get(), log_dims, point, QueryOptions{}));
+      ExactValue(PointQueryStandard(store.get(), log_dims, point,
+                                    QueryOptions{})));
   EXPECT_NEAR(v, dataset->Cell(point), 1e-9);
 }
 

@@ -63,7 +63,8 @@ TEST_F(PersistenceTest, TransformSurvivesReopen) {
       std::vector<uint64_t> point{rng.NextBounded(16), rng.NextBounded(16)};
       ASSERT_OK_AND_ASSIGN(
           const double v,
-          PointQueryStandard(store.get(), log_dims, point, slot_mode));
+          ExactValue(PointQueryStandard(store.get(), log_dims, point,
+                                        slot_mode)));
       EXPECT_NEAR(v, dataset->Cell(point), 1e-9);
     }
   }

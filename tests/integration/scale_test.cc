@@ -45,8 +45,9 @@ TEST(ScaleTest, MillionValueVectorUnderTinyPool) {
     std::vector<uint64_t> p{rng.NextBounded(uint64_t{1} << n)};
     ASSERT_OK(store->pool().Clear());
     device.stats().Reset();
-    ASSERT_OK_AND_ASSIGN(const double v,
-                         PointQueryStandard(store.get(), log_dims, p, q));
+    ASSERT_OK_AND_ASSIGN(
+        const double v,
+        ExactValue(PointQueryStandard(store.get(), log_dims, p, q)));
     ASSERT_NEAR(v, value(p[0]), 1e-8);
     ASSERT_EQ(device.stats().block_reads, 1u);
   }
@@ -56,7 +57,8 @@ TEST(ScaleTest, MillionValueVectorUnderTinyPool) {
   for (uint64_t i = lo[0]; i <= hi[0]; ++i) brute += value(i);
   ASSERT_OK_AND_ASSIGN(
       const double sum,
-      RangeSumStandard(store.get(), log_dims, lo, hi, QueryOptions{}));
+      ExactValue(RangeSumStandard(store.get(), log_dims, lo, hi,
+                                  QueryOptions{})));
   EXPECT_NEAR(sum, brute, std::abs(brute) * 1e-9 + 1e-6);
 }
 

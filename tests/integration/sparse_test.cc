@@ -89,12 +89,14 @@ TEST(SparseTransformTest, SparseModeSkipsZeroRegions) {
 
   // And the sparse store answers queries identically.
   std::vector<uint64_t> point{3, 5};
-  ASSERT_OK_AND_ASSIGN(const double a,
-                       PointQueryStandard(dense.store.get(), log_dims, point,
-                                          QueryOptions{}));
-  ASSERT_OK_AND_ASSIGN(const double b,
-                       PointQueryStandard(sparse.store.get(), log_dims, point,
-                                          QueryOptions{}));
+  ASSERT_OK_AND_ASSIGN(
+      const double a,
+      ExactValue(PointQueryStandard(dense.store.get(), log_dims, point,
+                                    QueryOptions{})));
+  ASSERT_OK_AND_ASSIGN(
+      const double b,
+      ExactValue(PointQueryStandard(sparse.store.get(), log_dims, point,
+                                    QueryOptions{})));
   EXPECT_NEAR(a, b, 1e-12);
 }
 

@@ -36,7 +36,11 @@
 #include "shiftsplit/net/wire.h"
 #include "shiftsplit/service/serving_cube.h"
 #include "shiftsplit/service/sharded_cube.h"
+#include "shiftsplit/storage/memory_block_manager.h"
+#include "shiftsplit/tile/standard_tiling.h"
 #include "shiftsplit/util/random.h"
+#include "shiftsplit/wavelet/wavelet_index.h"
+#include "storage/fault_injection_block_manager.h"
 #include "testing.h"
 
 namespace shiftsplit {
@@ -309,6 +313,99 @@ TEST(CubeServerTest, DegradedShardedAnswersTravelWithTheirBounds) {
   EXPECT_EQ(Bits(v), Bits(w));
 
   fx.server->Stop();
+}
+
+// Block-level degradation reaches the wire for monolithic cubes too: with
+// one failing block, approx-tolerant point and range queries over TCP carry
+// the same value, bound, reason and skip count as the in-process
+// QueryOptions overloads — one evaluator behind both — while exact queries
+// fail with the failed fetch's own code.
+TEST(CubeServerTest, DegradedMonolithicAnswersTravelWithTheirBounds) {
+  const std::vector<uint32_t> log_dims{4, 3};
+  WaveletCube::Options cube_options;
+  MemoryBlockManager device(
+      StandardTiling(log_dims, cube_options.b).block_capacity());
+  testing::FaultInjectionBlockManager faults(&device);
+  cube_options.device = &faults;
+  auto dir = MakeTempDir("mono_degraded");
+  ServingCube::Options serving_options;
+  serving_options.start_workers = false;
+  ASSERT_OK_AND_ASSIGN(auto cube,
+                       WaveletCube::CreateInMemory(log_dims, cube_options));
+  ASSERT_OK_AND_ASSIGN(auto attached,
+                       ServingCube::AttachDurable(std::move(cube), dir.string(),
+                                                  serving_options));
+  std::shared_ptr<ServingCube> serving(std::move(attached));
+
+  Xoshiro256 rng(0x6d6f6e6f);
+  for (int i = 0; i < 64; ++i) {
+    const std::vector<uint64_t> c{rng.NextBounded(16), rng.NextBounded(8)};
+    const double delta =
+        static_cast<double>(static_cast<int64_t>(rng.NextBounded(17)) - 8);
+    ASSERT_OK(serving->Add(c, delta));
+  }
+  ASSERT_OK(serving->DrainAll());
+  ASSERT_OK(serving->cube()->EnableEnergyTracking());
+  const std::vector<uint64_t> point{5, 3};
+  ASSERT_OK(serving->Add(point, 2.5));  // a pending tail on the bad block
+
+  // Fail the block a scaling-slot query of `point` reads (the tile
+  // combination holding its finest-level details); range sums from `point`
+  // cross it too.
+  TiledStore* store = serving->cube()->store();
+  const std::vector<uint64_t> finest{
+      DetailIndex(log_dims[0], 1, point[0] >> 1),
+      DetailIndex(log_dims[1], 1, point[1] >> 1)};
+  ASSERT_OK_AND_ASSIGN(const BlockSlot home, store->layout().Locate(finest));
+  ASSERT_OK(store->pool().Clear());
+  faults.InjectReadStatus(home.block,
+                          Status::ChecksumMismatch("injected bit rot"));
+
+  auto fx = ServerFixture::Start();
+  ASSERT_OK(fx.registry->Insert("m", ServeHandle::Wrap(serving)));
+  auto client = fx.Client(NoRetry());
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto expect_same = [](const DegradedResult& over_tcp,
+                              const DegradedResult& in_process) {
+    EXPECT_EQ(over_tcp.reason, DegradedReason::kQuarantined);
+    EXPECT_GE(over_tcp.blocks_missing, 1u);
+    EXPECT_TRUE(over_tcp.shards_missing.empty());
+    EXPECT_TRUE(std::isfinite(over_tcp.error_bound));
+    EXPECT_EQ(Bits(over_tcp.value), Bits(in_process.value));
+    EXPECT_EQ(Bits(over_tcp.error_bound), Bits(in_process.error_bound));
+    EXPECT_EQ(over_tcp.reason, in_process.reason);
+    EXPECT_EQ(over_tcp.blocks_missing, in_process.blocks_missing);
+  };
+
+  // The wire answers points with the scaling-slot strategy.
+  QueryOptions point_options;
+  point_options.use_scaling_slots = true;
+  point_options.max_error = inf;
+  ASSERT_OK_AND_ASSIGN(const DegradedResult point_tcp,
+                       client.PointDegraded("m", point, inf));
+  ASSERT_OK_AND_ASSIGN(const DegradedResult point_local,
+                       serving->PointQuery(point, point_options));
+  expect_same(point_tcp, point_local);
+
+  const std::vector<uint64_t> hi{15, 7};
+  QueryOptions sum_options;
+  sum_options.max_error = inf;
+  ASSERT_OK_AND_ASSIGN(const DegradedResult sum_tcp,
+                       client.SumDegraded("m", point, hi, inf));
+  ASSERT_OK_AND_ASSIGN(const DegradedResult sum_local,
+                       serving->RangeSum(point, hi, sum_options));
+  expect_same(sum_tcp, sum_local);
+
+  // max_error 0 is exact: the failed fetch's code crosses the wire as-is.
+  EXPECT_EQ(client.Point("m", point).status().code(),
+            StatusCode::kChecksumMismatch);
+  EXPECT_EQ(client.Sum("m", point, hi).status().code(),
+            StatusCode::kChecksumMismatch);
+
+  fx.server->Stop();
+  faults.ClearAllReadStatus();
+  ASSERT_OK(serving->Close());
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

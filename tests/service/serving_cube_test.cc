@@ -5,12 +5,19 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <filesystem>
+#include <limits>
+#include <map>
 #include <numeric>
 #include <vector>
 
 #include "shiftsplit/core/wavelet_cube.h"
+#include "shiftsplit/storage/memory_block_manager.h"
+#include "shiftsplit/tile/standard_tiling.h"
 #include "shiftsplit/util/random.h"
+#include "shiftsplit/wavelet/wavelet_index.h"
+#include "storage/fault_injection_block_manager.h"
 #include "testing.h"
 
 namespace shiftsplit {
@@ -486,6 +493,89 @@ TEST(ServingCubeTest, RejectsNonstandardAndNullCubes) {
   const auto null_cube = ServingCube::Attach(nullptr);
   ASSERT_FALSE(null_cube.ok());
   EXPECT_EQ(null_cube.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Graceful degradation under the overlay: a block that fails to read while
+// it still has undrained deltas is skipped, but its pending deltas — held in
+// memory — are folded in anyway, so the error bound (the block's stored
+// energy) only has to cover the stored coefficients. The pending mass here
+// dwarfs the stored one: dropping it would break the bound.
+TEST(ServingCubeTest, DegradedAnswersFoldPendingDeltasOfSkippedBlocks) {
+  const std::vector<uint32_t> log_dims{4, 4};
+  WaveletCube::Options cube_options;  // standard form, b = 2
+  MemoryBlockManager device(
+      StandardTiling(log_dims, cube_options.b).block_capacity());
+  testing::FaultInjectionBlockManager faults(&device);
+  cube_options.device = &faults;
+  ASSERT_OK_AND_ASSIGN(auto base,
+                       WaveletCube::CreateInMemory(log_dims, cube_options));
+  ServingCube::Options options;
+  options.start_workers = false;
+  ASSERT_OK_AND_ASSIGN(auto serving,
+                       ServingCube::Attach(std::move(base), options));
+
+  // Small whole-number base data, drained into the store.
+  std::map<std::vector<uint64_t>, double> truth;
+  Xoshiro256 rng(20261017);
+  for (int i = 0; i < 96; ++i) {
+    const std::vector<uint64_t> c{rng.NextBounded(16), rng.NextBounded(16)};
+    const double v =
+        static_cast<double>(static_cast<int64_t>(rng.NextBounded(9)) - 4);
+    ASSERT_OK(serving->Add(c, v));
+    truth[c] += v;
+  }
+  ASSERT_OK(serving->DrainAll());
+  ASSERT_OK(serving->cube()->EnableEnergyTracking());
+
+  // Heavy undrained deltas on the tile that holds `point`.
+  const std::vector<uint64_t> point{5, 9};
+  for (const auto& [c, v] :
+       std::vector<std::pair<std::vector<uint64_t>, double>>{
+           {point, 1024.0}, {{6, 10}, 512.0}, {point, 256.0}}) {
+    ASSERT_OK(serving->Add(c, v));
+    truth[c] += v;
+  }
+  ASSERT_GT(serving->pending_deltas(), 0u);
+
+  // Fail the single block a scaling-slot query of `point` reads: the tile
+  // combination holding its finest-level details.
+  TiledStore* store = serving->cube()->store();
+  const std::vector<uint64_t> finest{
+      DetailIndex(log_dims[0], 1, point[0] >> 1),
+      DetailIndex(log_dims[1], 1, point[1] >> 1)};
+  ASSERT_OK_AND_ASSIGN(const BlockSlot home, store->layout().Locate(finest));
+  ASSERT_OK(store->pool().Clear());
+  faults.InjectReadStatus(home.block,
+                          Status::ChecksumMismatch("injected bit rot"));
+
+  QueryOptions approx;
+  approx.use_scaling_slots = true;
+  approx.max_error = std::numeric_limits<double>::infinity();
+  ASSERT_OK_AND_ASSIGN(const DegradedResult p,
+                       serving->PointQuery(point, approx));
+  EXPECT_EQ(p.reason, DegradedReason::kQuarantined);
+  EXPECT_EQ(p.blocks_missing, 1u);
+  EXPECT_TRUE(std::isfinite(p.error_bound));
+  EXPECT_LE(std::abs(truth[point] - p.value), p.error_bound);
+
+  const std::vector<uint64_t> lo = point;
+  const std::vector<uint64_t> hi{15, 15};
+  double true_sum = 0.0;
+  for (const auto& [c, v] : truth) {
+    if (c[0] >= lo[0] && c[1] >= lo[1]) true_sum += v;
+  }
+  ASSERT_OK_AND_ASSIGN(const DegradedResult sum,
+                       serving->RangeSum(lo, hi, approx));
+  EXPECT_EQ(sum.reason, DegradedReason::kQuarantined);
+  EXPECT_GE(sum.blocks_missing, 1u);
+  EXPECT_TRUE(std::isfinite(sum.error_bound));
+  EXPECT_LE(std::abs(true_sum - sum.value), sum.error_bound);
+
+  // max_error == 0 is the exact path: the failed fetch's own code.
+  EXPECT_EQ(serving->PointQuery(point).status().code(),
+            StatusCode::kChecksumMismatch);
+  EXPECT_EQ(serving->RangeSum(lo, hi).status().code(),
+            StatusCode::kChecksumMismatch);
 }
 
 }  // namespace

@@ -84,9 +84,11 @@ INSTANTIATE_TEST_SUITE_P(
                       Config{2, 5, 2}, Config{2, 5, 3}, Config{3, 3, 1},
                       Config{3, 4, 2}, Config{4, 2, 1}, Config{4, 3, 2}),
     [](const ::testing::TestParamInfo<Config>& info) {
-      return "d" + std::to_string(info.param.d) + "n" +
-             std::to_string(info.param.n) + "b" +
-             std::to_string(info.param.b);
+      std::string name = "d";
+      name += std::to_string(info.param.d) + "n" +
+              std::to_string(info.param.n) + "b" +
+              std::to_string(info.param.b);
+      return name;
     });
 
 }  // namespace

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Builds the `default`, `asan` and `tsan` CMake presets and runs the full
-# test suite under each. The asan preset (-fsanitize=address,undefined) makes
-# the span-use-after-free bug class in the storage layer fail loudly instead
-# of silently corrupting results; the tsan preset (-fsanitize=thread) does
-# the same for data races in the parallel ingest pipeline and the buffer
-# pool's thread-safe mode — run this before merging storage/tile/core
-# changes.
+# Builds the `default`, `release`, `asan` and `tsan` CMake presets and runs
+# the full test suite under each. The release preset (-O3, -Werror) is the
+# optimisation level benchmarks run at. The asan preset
+# (-fsanitize=address,undefined) makes the span-use-after-free bug class in
+# the storage layer fail loudly instead of silently corrupting results; the
+# tsan preset (-fsanitize=thread) does the same for data races in the
+# parallel ingest pipeline, the buffer pool's thread-safe mode, the serving
+# and sharding layers and the network front-end — run this before merging
+# storage/tile/core changes.
 #
 # Every preset's suite runs twice: once with the default kernel dispatch
 # (the widest SIMD tier the build and CPU support) and once with
@@ -250,7 +252,7 @@ bench_schema() {
   rm -rf "$(dirname "$fresh")"
 }
 
-for preset in default asan tsan; do
+for preset in default release asan tsan; do
   echo "==> configure [$preset]"
   cmake --preset "$preset"
   echo "==> build [$preset]"
@@ -285,51 +287,5 @@ chaos_soak build-tsan
 bench_schema build bench_kernels BENCH_kernels.json
 bench_schema build bench_serving BENCH_serving.json
 bench_schema build bench_ingest_batched BENCH_ingest.json
-bench_schema build bench_net BENCH_net.json
-
-# The sharded router/cube property tests (bit-identity vs the monolith,
-# per-shard crash matrix, self-healing chaos — chaos_sharded_test carries
-# the compound chaos-sharding label, so `-L sharding` runs it here under
-# tsan too) run under the plain build and under tsan, in both kernel
-# dispatch modes — routing must not depend on the SIMD tier.
-for build_dir in build build-tsan; do
-  echo "==> sharding tests [$build_dir]"
-  ctest --test-dir "$build_dir" -L sharding -j "$jobs" --output-on-failure
-  echo "==> sharding tests [$build_dir, SHIFTSPLIT_FORCE_SCALAR=1]"
-  SHIFTSPLIT_FORCE_SCALAR=1 \
-    ctest --test-dir "$build_dir" -L sharding -j "$jobs" --output-on-failure
-done
-
-# Scrub-and-repair (DESIGN.md §12): parity maintenance, inline repair, the
-# background Scrubber and the supervisor's in-place healing — `-L scrub`
-# also picks up the compound scrub-sharding label. The Scrubber/worker/
-# query interleavings are racy by design, so run under tsan as well, and in
-# both kernel dispatch modes (repair reconstructs through the same kernels
-# every other path uses).
-for build_dir in build build-tsan; do
-  echo "==> scrub tests [$build_dir]"
-  ctest --test-dir "$build_dir" -L scrub -j "$jobs" --output-on-failure
-  echo "==> scrub tests [$build_dir, SHIFTSPLIT_FORCE_SCALAR=1]"
-  SHIFTSPLIT_FORCE_SCALAR=1 \
-    ctest --test-dir "$build_dir" -L scrub -j "$jobs" --output-on-failure
-done
-
-# Network front-end tests (DESIGN.md §13): the wire codec and the epoll
-# server/client pair. The server's loops, admission counter and drain path
-# are shared-state-by-design, so run under tsan as well, and in both kernel
-# dispatch modes — frame CRCs go through kernels::Active().crc32c, and a
-# tier-dependent checksum would reject every frame.
-for build_dir in build build-tsan; do
-  echo "==> net tests [$build_dir]"
-  ctest --test-dir "$build_dir" -L net -j "$jobs" --output-on-failure
-  echo "==> net tests [$build_dir, SHIFTSPLIT_FORCE_SCALAR=1]"
-  SHIFTSPLIT_FORCE_SCALAR=1 \
-    ctest --test-dir "$build_dir" -L net -j "$jobs" --output-on-failure
-done
-
-# The concurrent serving soak is where writer/reader/maintenance races would
-# hide; run the service label under tsan explicitly.
-echo "==> serving soak [build-tsan]"
-ctest --test-dir build-tsan -L service -j "$jobs" --output-on-failure
 
 echo "All presets built and tested."

@@ -32,6 +32,7 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -138,7 +139,9 @@ Result<Args> ParseArgs(int argc, char** argv) {
           key == "prefetch" || key == "per-coeff" || key == "approx-ok" ||
           key == "crash" || key == "verify" || key == "expect-recover" ||
           key == "repair") {
-        args.flags[key] = "1";
+        // Assigned as a std::string: GCC 12 at -O3 reports a false
+        // -Wrestrict inside char_traits for a string-literal assignment.
+        args.flags[key] = std::string("1");
       } else if (i + 1 < argc) {
         args.flags[key] = argv[++i];
       } else {
@@ -343,6 +346,19 @@ void PrintDegraded(const DegradedResult& r) {
   }
 }
 
+// The query options of the `point`/`sum` commands: --approx-ok opts into a
+// degraded answer with any bound (energy tracking on for finite bounds).
+Result<QueryOptions> CliQueryOptions(const Args& args, WaveletCube* cube,
+                                     OperationContext* ctx) {
+  QueryOptions q{.use_scaling_slots = args.flags.contains("slots"),
+                 .context = ctx};
+  if (args.flags.contains("approx-ok")) {
+    SS_RETURN_IF_ERROR(cube->EnableEnergyTracking());
+    q.max_error = std::numeric_limits<double>::infinity();
+  }
+  return q;
+}
+
 Status CmdPoint(const Args& args) {
   SS_ASSIGN_OR_RETURN(auto cube, WaveletCube::OpenOnDisk(args.dir, 64));
   auto it = args.flags.find("at");
@@ -351,17 +367,10 @@ Status CmdPoint(const Args& args) {
   OperationContext deadline_ctx;
   SS_ASSIGN_OR_RETURN(OperationContext* ctx,
                       QueryContext(args, &deadline_ctx));
-  const bool slots = args.flags.contains("slots");
-  if (args.flags.contains("approx-ok")) {
-    SS_RETURN_IF_ERROR(cube->EnableEnergyTracking());
-    SS_ASSIGN_OR_RETURN(const DegradedResult r,
-                        cube->PointQueryResilient(point, slots, ctx));
-    PrintDegraded(r);
-  } else {
-    SS_ASSIGN_OR_RETURN(const double value,
-                        cube->PointQuery(point, slots, ctx));
-    std::printf("%.10g\n", value);
-  }
+  SS_ASSIGN_OR_RETURN(const QueryOptions q,
+                      CliQueryOptions(args, cube.get(), ctx));
+  SS_ASSIGN_OR_RETURN(const DegradedResult r, cube->PointQuery(point, q));
+  PrintDegraded(r);
   std::printf("# block reads: %llu\n",
               static_cast<unsigned long long>(cube->stats().block_reads));
   return Status::OK();
@@ -379,15 +388,10 @@ Status CmdSum(const Args& args) {
   OperationContext deadline_ctx;
   SS_ASSIGN_OR_RETURN(OperationContext* ctx,
                       QueryContext(args, &deadline_ctx));
-  if (args.flags.contains("approx-ok")) {
-    SS_RETURN_IF_ERROR(cube->EnableEnergyTracking());
-    SS_ASSIGN_OR_RETURN(const DegradedResult r,
-                        cube->RangeSumResilient(lo, hi, ctx));
-    PrintDegraded(r);
-  } else {
-    SS_ASSIGN_OR_RETURN(const double value, cube->RangeSum(lo, hi, ctx));
-    std::printf("%.10g\n", value);
-  }
+  SS_ASSIGN_OR_RETURN(const QueryOptions q,
+                      CliQueryOptions(args, cube.get(), ctx));
+  SS_ASSIGN_OR_RETURN(const DegradedResult r, cube->RangeSum(lo, hi, q));
+  PrintDegraded(r);
   return Status::OK();
 }
 
@@ -521,58 +525,6 @@ SimDelta SimDeltaAt(std::span<const uint32_t> log_dims, uint64_t i,
   return {std::move(coords), 1.0 + 0.5 * static_cast<double>(i % 97)};
 }
 
-// One serving store behind the four calls the sim needs — the monolithic
-// ServingCube and the ShardedCube (picked by shardset.manifest detection)
-// run the identical schedule, so their crash/verify contracts are exercised
-// by the same code.
-struct ServeTarget {
-  std::vector<uint32_t> log_dims;  // global domain, for the cell schedule
-  std::unique_ptr<ServingCube> mono;
-  std::unique_ptr<ShardedCube> sharded;
-
-  Status Add(std::span<const uint64_t> at, double v) {
-    return sharded ? sharded->Add(at, v) : mono->Add(at, v);
-  }
-  Result<double> Point(std::span<const uint64_t> at) {
-    return sharded ? sharded->PointQuery(at) : mono->PointQuery(at);
-  }
-  Status DrainAll() {
-    return sharded ? sharded->DrainAll() : mono->DrainAll();
-  }
-  uint64_t Pending() const {
-    return sharded ? sharded->pending_deltas() : mono->pending_deltas();
-  }
-  ServingStats Stats() const {
-    return sharded ? sharded->stats() : mono->stats();
-  }
-  Status Close() { return sharded ? sharded->Close() : mono->Close(); }
-};
-
-Result<ServeTarget> OpenServeTarget(const std::string& dir,
-                                    bool supervised = false) {
-  ServeTarget target;
-  if (ShardedCube::IsShardedDir(dir)) {
-    ShardedCube::Options options;
-    // Default: drains only where the sim says. A supervised run instead
-    // starts workers and the supervisor so --expect-recover can watch the
-    // full quarantine -> recover -> re-admit cycle happen on its own.
-    options.serving.start_workers = supervised;
-    options.serving.oversubscribe = supervised;
-    if (supervised) {
-      options.supervisor_poll = std::chrono::milliseconds(5);
-    }
-    SS_ASSIGN_OR_RETURN(target.sharded, ShardedCube::OpenOnDisk(dir, options));
-    target.log_dims = target.sharded->router().log_dims();
-  } else {
-    ServingCube::Options options;
-    options.start_workers = false;
-    SS_ASSIGN_OR_RETURN(target.mono,
-                        ServingCube::OpenOnDisk(dir, 256, options));
-    target.log_dims = target.mono->cube()->manifest().log_dims;
-  }
-  return target;
-}
-
 // serve-sim: push N deltas through the serving layer. Default run drains and
 // closes cleanly; --crash exits the process after the deltas are acked but
 // before any drain (simulating kill -9); --verify reopens, checks that every
@@ -597,23 +549,43 @@ Status CmdServeSim(const Args& args) {
     return Status::InvalidArgument("--expect-recover needs --crash-shard K");
   }
 
-  SS_ASSIGN_OR_RETURN(ServeTarget serving,
-                      OpenServeTarget(args.dir, expect_recover));
+  // Monolithic and sharded stores run the identical schedule through one
+  // ServeHandle, so their crash/verify contracts are exercised by the same
+  // code. Default: drains only where the sim says. A supervised run instead
+  // starts workers and the supervisor so --expect-recover can watch the
+  // full quarantine -> recover -> re-admit cycle happen on its own.
+  ServingCube::Options options;
+  options.start_workers = expect_recover;
+  options.oversubscribe = expect_recover;
+  std::shared_ptr<ShardedCube> sharded;  // --crash-shard's victim lives here
+  std::shared_ptr<net::ServeHandle> serving;
   if (crash_shard) {
-    if (!serving.sharded) {
+    if (!ShardedCube::IsShardedDir(args.dir)) {
       return Status::InvalidArgument(
           "--crash-shard needs a sharded store directory");
     }
-    if (victim >= serving.sharded->num_shards()) {
+    ShardedCube::Options sharded_options;
+    sharded_options.serving = options;
+    sharded_options.supervisor_poll = std::chrono::milliseconds(5);
+    SS_ASSIGN_OR_RETURN(sharded,
+                        ShardedCube::OpenOnDisk(args.dir, sharded_options));
+    if (victim >= sharded->num_shards()) {
       return Status::InvalidArgument(
           "--crash-shard " + std::to_string(victim) + " out of range (store"
-          " has " + std::to_string(serving.sharded->num_shards()) +
-          " shards)");
+          " has " + std::to_string(sharded->num_shards()) + " shards)");
     }
+    serving = net::ServeHandle::Wrap(sharded);
+  } else {
+    SS_ASSIGN_OR_RETURN(serving,
+                        net::ServeHandle::Open(args.dir, 256, options));
   }
+  const std::vector<uint32_t>& log_dims = serving->log_dims();
+  const auto point = [&](std::span<const uint64_t> at) -> Result<double> {
+    return ExactValue(serving->PointQuery(at, 0.0, nullptr));
+  };
 
   if (args.flags.contains("verify")) {
-    const ServingStats stats = serving.Stats();
+    const ServingStats stats = serving->stats();
     if (stats.replayed_deltas != deltas || stats.pending_deltas != deltas) {
       return Status::Internal(
           "serve-sim verify: expected " + std::to_string(deltas) +
@@ -628,16 +600,16 @@ Status CmdServeSim(const Args& args) {
     // drained into the store.
     std::vector<double> merged(deltas);
     for (uint64_t i = 0; i < deltas; ++i) {
-      const SimDelta d = SimDeltaAt(serving.log_dims, i, seed);
-      SS_ASSIGN_OR_RETURN(merged[i], serving.Point(d.coords));
+      const SimDelta d = SimDeltaAt(log_dims, i, seed);
+      SS_ASSIGN_OR_RETURN(merged[i], point(d.coords));
     }
-    SS_RETURN_IF_ERROR(serving.DrainAll());
-    if (serving.Pending() != 0) {
+    SS_RETURN_IF_ERROR(serving->DrainAll());
+    if (serving->stats().pending_deltas != 0) {
       return Status::Internal("serve-sim verify: deltas left after drain");
     }
     for (uint64_t i = 0; i < deltas; ++i) {
-      const SimDelta d = SimDeltaAt(serving.log_dims, i, seed);
-      SS_ASSIGN_OR_RETURN(const double applied, serving.Point(d.coords));
+      const SimDelta d = SimDeltaAt(log_dims, i, seed);
+      SS_ASSIGN_OR_RETURN(const double applied, point(d.coords));
       if (std::bit_cast<uint64_t>(applied) !=
           std::bit_cast<uint64_t>(merged[i])) {
         return Status::Internal(
@@ -645,7 +617,7 @@ Status CmdServeSim(const Args& args) {
             std::to_string(i));
       }
     }
-    SS_RETURN_IF_ERROR(serving.Close());
+    SS_RETURN_IF_ERROR(serving->Close());
     std::printf("serve-sim verify OK: %llu delta(s) recovered and applied\n",
                 static_cast<unsigned long long>(deltas));
     return Status::OK();
@@ -657,14 +629,14 @@ Status CmdServeSim(const Args& args) {
   for (uint64_t i = 0; i < deltas; ++i) {
     if (crash_shard && i == deltas / 2) {
       // Poison the victim mid-run, exactly as a torn drain would.
-      if (auto cube = serving.sharded->shard_for_test(victim)) {
+      if (auto cube = sharded->shard_for_test(victim)) {
         SS_RETURN_IF_ERROR(cube->CrashForTest());
         std::printf("serve-sim: crashed shard %u after %llu delta(s)\n",
                     victim, static_cast<unsigned long long>(i));
       }
     }
-    const SimDelta d = SimDeltaAt(serving.log_dims, i, seed);
-    const Status added = serving.Add(d.coords, d.value);
+    const SimDelta d = SimDeltaAt(log_dims, i, seed);
+    const Status added = serving->Add(d.coords, d.value, nullptr);
     if (added.ok()) continue;
     if (crash_shard && added.code() == StatusCode::kUnavailable) {
       unacked.push_back(i);
@@ -687,7 +659,7 @@ Status CmdServeSim(const Args& args) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
     for (;;) {
-      const auto info = serving.sharded->shard_health(victim);
+      const auto info = sharded->shard_health(victim);
       if (info.health == ShardHealth::kHealthy && info.recoveries >= 1) break;
       if (info.health == ShardHealth::kFailed) {
         return Status::Unavailable("shard " + std::to_string(victim) +
@@ -702,18 +674,18 @@ Status CmdServeSim(const Args& args) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     for (const uint64_t i : unacked) {
-      const SimDelta d = SimDeltaAt(serving.log_dims, i, seed);
-      SS_RETURN_IF_ERROR(serving.Add(d.coords, d.value));
+      const SimDelta d = SimDeltaAt(log_dims, i, seed);
+      SS_RETURN_IF_ERROR(serving->Add(d.coords, d.value, nullptr));
     }
-    const auto info = serving.sharded->shard_health(victim);
+    const auto info = sharded->shard_health(victim);
     std::printf("serve-sim: shard %u quarantined and re-admitted "
                 "(%llu recover%s); %zu bounced write(s) retried\n",
                 victim, static_cast<unsigned long long>(info.recoveries),
                 info.recoveries == 1 ? "y" : "ies", unacked.size());
   }
-  SS_RETURN_IF_ERROR(serving.DrainAll());
-  const ServingStats stats = serving.Stats();
-  SS_RETURN_IF_ERROR(serving.Close());
+  SS_RETURN_IF_ERROR(serving->DrainAll());
+  const ServingStats stats = serving->stats();
+  SS_RETURN_IF_ERROR(serving->Close());
   std::printf("serve-sim: %s\n", stats.ToString().c_str());
   // A cube that ends the run poisoned is an operator problem, not a clean
   // exit: surface the cause and fail the process.
