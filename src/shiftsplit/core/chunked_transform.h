@@ -38,7 +38,8 @@ struct TransformOptions {
   /// the per-coefficient reference path.
   bool batched = true;
   /// Warm the buffer pool with each chunk's exact block set in one vectored
-  /// device read before applying it (batched path only).
+  /// device read before applying it (batched path only; see
+  /// ApplyOptions::prefetch for the single-thread sparse case).
   bool prefetch = false;
   /// Worker threads for the ingest pipeline. Workers read, transform and
   /// plan chunks concurrently; plans commit to the store strictly in chunk

@@ -916,12 +916,12 @@ Status ApplyChunkStandard(const Tensor& chunk_data,
       if (block_count <= store->pool().capacity()) {
         // Direct batched apply: pin each distinct destination block once and
         // write through the pinned spans, no materialized plan.
-        if (options.prefetch) {
-          SS_RETURN_IF_ERROR(store->Prefetch(FastBlockSet(fast)));
-        }
         if (!options.skip_zero_writes) {
           // Dense: every block of the cross product is written, so pin the
           // whole set up front and switch blocks by rank.
+          if (options.prefetch) {
+            SS_RETURN_IF_ERROR(store->Prefetch(FastBlockSet(fast)));
+          }
           SpanTableSink sink(store);
           const Status pinned = sink.Pin(fast);
           if (pinned.ok()) {
@@ -934,7 +934,7 @@ Status ApplyChunkStandard(const Tensor& chunk_data,
           // Pool contention: fall through to the materialized plan.
         } else {
           // Sparse: pin lazily so blocks with only skipped zero writes are
-          // never touched.
+          // never touched. No prefetch: the cross product would read them.
           GuardCacheSink sink(store);
           SS_RETURN_IF_ERROR(FastEnumerateStandard(ctx, fast, options, sink));
           sink.Finish();

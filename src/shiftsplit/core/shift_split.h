@@ -58,7 +58,8 @@ struct ApplyOptions {
   /// false for the per-coefficient reference path.
   bool batched = true;
   /// Warm the buffer pool with the chunk's exact block set in one vectored
-  /// read before applying (batched path only).
+  /// read before applying (batched path only; a sparse apply whose blocks
+  /// fit the pool pins lazily instead and reads only the blocks it writes).
   bool prefetch = false;
 };
 

@@ -50,37 +50,15 @@ int OpIndex(Opcode op) {
   }
 }
 
-/// ServingStats → flat counters for the per-cube `stats` reply. Keys are
-/// stable strings; enums travel as their names' numeric health rank plus a
-/// dedicated code counter so the client needs no enum tables.
+/// ServingStats → flat counters for the per-cube `stats` reply: every
+/// counter under its member name, then the health rank and the poison code
+/// as numbers, so the client needs no enum tables.
 void FlattenServingStats(const ServingStats& s, StatsReply* out) {
-  auto put = [out](const char* key, uint64_t value) {
-    out->counters.emplace_back(key, value);
-  };
-  put("acked_deltas", s.acked_deltas);
-  put("coalesced_deltas", s.coalesced_deltas);
-  put("pending_deltas", s.pending_deltas);
-  put("rejected_unavailable", s.rejected_unavailable);
-  put("apply_batches", s.apply_batches);
-  put("applied_deltas", s.applied_deltas);
-  put("replayed_deltas", s.replayed_deltas);
-  put("overlay_probes", s.overlay_probes);
-  put("overlay_hits", s.overlay_hits);
-  put("latch_wait_us_total", s.latch_wait_us_total);
-  put("latch_hold_us_max", s.latch_hold_us_max);
-  put("log_appends", s.log_appends);
-  put("log_syncs", s.log_syncs);
-  put("log_sync_failures", s.log_sync_failures);
-  put("last_seq", s.last_seq);
-  put("durable_seq", s.durable_seq);
-  put("applied_seq", s.applied_seq);
-  put("health", static_cast<uint64_t>(s.health));
-  put("poison_code", StatusCodeToWire(s.poison_code));
-  put("quarantines", s.quarantines);
-  put("recoveries", s.recoveries);
-  put("parked_writes", s.parked_writes);
-  put("scrub_passes", s.scrub_passes);
-  put("parity_repairs", s.parity_repairs);
+  for (const ServingCounter& counter : kServingCounters) {
+    out->counters.emplace_back(counter.name, s.*counter.member);
+  }
+  out->counters.emplace_back("health", static_cast<uint64_t>(s.health));
+  out->counters.emplace_back("poison_code", StatusCodeToWire(s.poison_code));
 }
 
 }  // namespace

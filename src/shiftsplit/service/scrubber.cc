@@ -46,11 +46,6 @@ bool Scrubber::paused() const {
   return paused_;
 }
 
-Scrubber::Stats Scrubber::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
 void Scrubber::Loop() {
   for (;;) {
     {
@@ -60,13 +55,7 @@ void Scrubber::Loop() {
       while (paused_ && !stop_) cv_.wait(lock);
       if (stop_) return;
     }
-    const ServingCube::ScrubTickResult tick =
-        cube_->ScrubTick(options_.batch_blocks);
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.scanned += tick.scanned;
-    stats_.repaired += tick.repaired;
-    stats_.unrepairable += tick.unrepairable;
-    if (tick.wrapped) ++stats_.passes;
+    cube_->ScrubTick(options_.batch_blocks);
   }
 }
 

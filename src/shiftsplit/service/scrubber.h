@@ -8,7 +8,9 @@
 //   ...
 //   scrubber.Pause();    // e.g. while a bulk load saturates the store
 //   scrubber.Resume();
-//   Scrubber::Stats s = scrubber.stats();
+//
+// Its work shows in the cube's ServingStats (scrub_passes, scrubbed_blocks,
+// scrub_repairs, parity_unrepairable).
 //
 // The scrubber is rate-limited twice over: it touches at most
 // `batch_blocks` blocks per tick and sleeps `interval` between ticks, so
@@ -42,14 +44,6 @@ class Scrubber {
     bool start = true;
   };
 
-  /// \brief Counters, also mirrored into ServingStats by the cube.
-  struct Stats {
-    uint64_t passes = 0;        ///< full device sweeps completed
-    uint64_t scanned = 0;       ///< blocks verified
-    uint64_t repaired = 0;      ///< corrupt blocks rebuilt from parity
-    uint64_t unrepairable = 0;  ///< double faults left for the supervisor
-  };
-
   Scrubber(ServingCube* cube, const Options& options);
   ~Scrubber();
   Scrubber(const Scrubber&) = delete;
@@ -64,8 +58,6 @@ class Scrubber {
   void Resume();
   bool paused() const;
 
-  Stats stats() const;
-
  private:
   void Loop();
 
@@ -76,7 +68,6 @@ class Scrubber {
   std::condition_variable cv_;
   bool stop_ = false;
   bool paused_ = false;
-  Stats stats_;
   std::thread thread_;  ///< joinable while running
 };
 

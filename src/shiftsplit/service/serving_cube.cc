@@ -435,8 +435,6 @@ ServingCube::ScrubTickResult ServingCube::ScrubTick(uint64_t max_blocks) {
   }
   scrubbed_blocks_.fetch_add(result.scanned, std::memory_order_relaxed);
   scrub_repairs_.fetch_add(result.repaired, std::memory_order_relaxed);
-  scrub_unrepairable_.fetch_add(result.unrepairable,
-                                std::memory_order_relaxed);
   parity_repairs_.fetch_add(result.repaired, std::memory_order_relaxed);
   parity_unrepairable_.fetch_add(result.unrepairable,
                                  std::memory_order_relaxed);

@@ -296,7 +296,6 @@ class ServingCube {
   std::atomic<uint64_t> scrub_passes_{0};
   std::atomic<uint64_t> scrubbed_blocks_{0};
   std::atomic<uint64_t> scrub_repairs_{0};
-  std::atomic<uint64_t> scrub_unrepairable_{0};
   // All explicit parity-repair activity (ScrubTick + RepairNow); inline
   // query-path repairs are visible in durability_stats() only.
   std::atomic<uint64_t> parity_repairs_{0};

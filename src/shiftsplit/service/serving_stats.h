@@ -47,110 +47,109 @@ inline bool ShardHealthServes(ShardHealth health) {
   return health == ShardHealth::kHealthy || health == ShardHealth::kDegraded;
 }
 
+/// \brief How ShardedCube::stats() folds one counter across its shards.
+enum class CounterMerge {
+  kSum,       ///< total over the shards
+  kMax,       ///< largest single-shard value
+  kIncident,  ///< the first poisoned shard's value; 0 when none is poisoned
+};
+
+/// Every ServingStats counter, declared once as X(member, merge). The list
+/// declares the members and builds kServingCounters, which ToString, the
+/// wire `stats` reply, ShardedCube's merge and the CLI table read, so a new
+/// counter is one line here. The sequence watermarks sum across shards
+/// (per-shard sequences are independent), so applied == last still means
+/// fully drained.
+#define SHIFTSPLIT_SERVING_COUNTERS(X)                                        \
+  /* Write path. */                                                           \
+  X(acked_deltas, kSum) /* Add/Update cells accepted (and acked) */          \
+  X(coalesced_deltas, kSum) /* adds that hit an already-pending cell */      \
+  X(pending_deltas, kSum) /* distinct cells currently buffered */            \
+  X(pending_slots, kSum) /* buffered per-slot contributions */               \
+  X(rejected_unavailable, kSum) /* backpressure kUnavailable rejections */   \
+  X(stall_waits, kSum) /* writer waits caused by a full buffer */            \
+  X(stall_us, kSum) /* total writer stall time, microseconds */              \
+  /* Maintenance. */                                                          \
+  X(apply_batches, kSum) /* background drain batches committed */            \
+  X(applied_deltas, kSum) /* cells drained into the store */                 \
+  X(replayed_deltas, kSum) /* deltas recovered from the log on open */       \
+  /* Read-side merge. */                                                      \
+  X(overlay_probes, kSum) /* coefficients checked against the buffer */      \
+  X(overlay_hits, kSum) /* probes that folded pending contributions */       \
+  /* Store latch. Queries wait while maintenance holds it exclusively; the */ \
+  /* hold counters bound how long one drain batch can stall the read tail. */ \
+  X(latch_wait_us_total, kSum) /* total acquisition wait, all callers */     \
+  X(latch_hold_us_total, kSum) /* total exclusive (maintenance) hold */      \
+  X(latch_hold_us_max, kMax) /* longest single exclusive hold */             \
+  X(latch_exclusive_holds, kSum) /* exclusive critical sections */           \
+  /* Delta log. */                                                            \
+  X(log_appends, kSum) /* records staged to the delta log */                 \
+  X(log_syncs, kSum) /* group-commit fsync batches */                        \
+  X(log_torn_records, kSum) /* torn tails dropped during replay */           \
+  X(log_sync_failures, kSum) /* failed group commits (backpressure) */       \
+  /* Watermarks. */                                                           \
+  X(last_seq, kSum) /* newest assigned delta sequence number */              \
+  X(durable_seq, kSum) /* newest fsynced sequence number */                  \
+  X(applied_seq, kSum) /* newest store-applied sequence number */            \
+  /* Health incident. */                                                      \
+  X(poisoned_at_us, kIncident) /* steady-clock us at Poison(); 0 = never */  \
+  X(health_since_us, kIncident) /* steady-clock us of the last transition */ \
+  /* Self-healing (supervisor); zero for an unsupervised cube. */             \
+  X(quarantines, kSum) /* transitions into QUARANTINED */                    \
+  X(recovery_attempts, kSum) /* teardown+reopen cycles started */            \
+  X(recoveries, kSum) /* shards re-admitted HEALTHY */                       \
+  X(parked_writes, kSum) /* writes parked while a shard healed */            \
+  X(parked_dropped, kSum) /* parked/offered writes rejected or lost */       \
+  /* Scrub-and-repair (parity); zero without scrub ticks or parity. */        \
+  X(scrub_passes, kSum) /* full scrub sweeps finished */                     \
+  X(scrubbed_blocks, kSum) /* blocks verified by scrub ticks */              \
+  X(scrub_repairs, kSum) /* corrupt blocks scrub ticks rebuilt */            \
+  X(parity_repairs, kSum) /* in-place parity repairs, all explicit paths */  \
+  X(parity_unrepairable, kSum) /* reconstruction attempts that failed */
+
 /// \brief Counters of the serving layer, snapshotted by ServingCube::stats().
 struct ServingStats {
-  // Write path.
-  uint64_t acked_deltas = 0;      ///< Add/Update cells accepted (and acked)
-  uint64_t coalesced_deltas = 0;  ///< adds that hit an already-pending cell
-  uint64_t pending_deltas = 0;    ///< distinct cells currently buffered
-  uint64_t pending_slots = 0;     ///< buffered per-slot contributions
-  uint64_t rejected_unavailable = 0;  ///< backpressure kUnavailable rejections
-  uint64_t stall_waits = 0;       ///< writer waits caused by a full buffer
-  uint64_t stall_us = 0;          ///< total writer stall time, microseconds
+#define SHIFTSPLIT_DECLARE_COUNTER(member, merge) uint64_t member = 0;
+  SHIFTSPLIT_SERVING_COUNTERS(SHIFTSPLIT_DECLARE_COUNTER)
+#undef SHIFTSPLIT_DECLARE_COUNTER
 
-  // Maintenance.
-  uint64_t apply_batches = 0;     ///< background drain batches committed
-  uint64_t applied_deltas = 0;    ///< cells drained into the store
-  uint64_t replayed_deltas = 0;   ///< deltas recovered from the log on open
-
-  // Read-side merge.
-  uint64_t overlay_probes = 0;    ///< coefficients checked against the buffer
-  uint64_t overlay_hits = 0;      ///< probes that folded pending contributions
-
-  // Store latch. Queries wait when maintenance holds the latch exclusively;
-  // the hold counters bound how long a drain batch can stall the read tail
-  // (the p999-grade spike source), per exclusive critical section.
-  uint64_t latch_wait_us_total = 0;  ///< total acquisition wait, all callers
-  uint64_t latch_hold_us_total = 0;  ///< total exclusive (maintenance) hold
-  uint64_t latch_hold_us_max = 0;    ///< longest single exclusive hold
-  uint64_t latch_exclusive_holds = 0;  ///< exclusive critical sections
-
-  // Delta log.
-  uint64_t log_appends = 0;       ///< records staged to the delta log
-  uint64_t log_syncs = 0;         ///< group-commit fsync batches
-  uint64_t log_torn_records = 0;  ///< torn tails dropped during replay
-  uint64_t log_sync_failures = 0; ///< failed group commits (backpressure)
-
-  // Watermarks.
-  uint64_t last_seq = 0;          ///< newest assigned delta sequence number
-  uint64_t durable_seq = 0;       ///< newest fsynced sequence number
-  uint64_t applied_seq = 0;       ///< newest store-applied sequence number
-
-  // Health. For a ShardedCube these aggregate as "worst health wins" and
-  // the poison fields describe the first unhealthy shard.
+  // Health. A ShardedCube reports its worst shard's health, and the poison
+  // fields describe the first poisoned shard.
   ShardHealth health = ShardHealth::kHealthy;
   StatusCode poison_code = StatusCode::kOk;  ///< cause of the quarantine
   std::string poison_message;     ///< first-error text, verbatim
-  uint64_t poisoned_at_us = 0;    ///< steady-clock us at Poison(); 0 = never
-  uint64_t health_since_us = 0;   ///< steady-clock us of the last transition
 
-  // Self-healing (supervisor) counters; zero for an unsupervised cube.
-  uint64_t quarantines = 0;        ///< transitions into QUARANTINED
-  uint64_t recovery_attempts = 0;  ///< teardown+reopen cycles started
-  uint64_t recoveries = 0;         ///< shards re-admitted HEALTHY
-  uint64_t parked_writes = 0;      ///< writes parked while a shard healed
-  uint64_t parked_dropped = 0;     ///< parked/offered writes rejected or lost
-
-  // Scrub-and-repair (parity) counters; zero without a scrubber/parity.
-  uint64_t scrub_passes = 0;       ///< full background scrub sweeps finished
-  uint64_t scrubbed_blocks = 0;    ///< blocks verified by the scrubber
-  uint64_t scrub_repairs = 0;      ///< corrupt blocks the scrubber rebuilt
-  uint64_t parity_repairs = 0;     ///< in-place parity repairs, all paths
-  uint64_t parity_unrepairable = 0;  ///< reconstruction attempts that failed
-
-  std::string ToString() const {
-    std::ostringstream out;
-    out << "acked=" << acked_deltas << " coalesced=" << coalesced_deltas
-        << " pending=" << pending_deltas << " pending_slots=" << pending_slots
-        << " rejected=" << rejected_unavailable << " stalls=" << stall_waits
-        << " stall_us=" << stall_us << " batches=" << apply_batches
-        << " applied=" << applied_deltas << " replayed=" << replayed_deltas
-        << " overlay_probes=" << overlay_probes
-        << " overlay_hits=" << overlay_hits
-        << " latch_wait_us=" << latch_wait_us_total
-        << " latch_hold_us=" << latch_hold_us_total
-        << " latch_hold_us_max=" << latch_hold_us_max
-        << " latch_holds=" << latch_exclusive_holds
-        << " log_appends=" << log_appends
-        << " log_syncs=" << log_syncs << " torn=" << log_torn_records
-        << " log_sync_failures=" << log_sync_failures
-        << " last_seq=" << last_seq << " durable_seq=" << durable_seq
-        << " applied_seq=" << applied_seq
-        << " health=" << ShardHealthToString(health);
-    if (poison_code != StatusCode::kOk) {
-      out << " poison_code=" << StatusCodeToString(poison_code)
-          << " poisoned_at_us=" << poisoned_at_us
-          << " poison=\"" << poison_message << "\"";
-    }
-    if (quarantines != 0 || recovery_attempts != 0 || parked_writes != 0 ||
-        parked_dropped != 0) {
-      out << " quarantines=" << quarantines
-          << " recovery_attempts=" << recovery_attempts
-          << " recoveries=" << recoveries
-          << " parked=" << parked_writes
-          << " parked_dropped=" << parked_dropped;
-    }
-    if (scrub_passes != 0 || scrubbed_blocks != 0 || parity_repairs != 0 ||
-        parity_unrepairable != 0) {
-      out << " scrub_passes=" << scrub_passes
-          << " scrubbed=" << scrubbed_blocks
-          << " scrub_repairs=" << scrub_repairs
-          << " parity_repairs=" << parity_repairs
-          << " parity_unrepairable=" << parity_unrepairable;
-    }
-    return out.str();
-  }
+  /// \brief Every counter as `member=value`, then health and poison cause.
+  std::string ToString() const;
 };
+
+/// \brief One row of the counter table.
+struct ServingCounter {
+  const char* name;  ///< the member's name, also its wire and CLI key
+  CounterMerge merge;
+  uint64_t ServingStats::*member;
+};
+
+/// \brief Every ServingStats counter, in declaration order.
+inline constexpr ServingCounter kServingCounters[] = {
+#define SHIFTSPLIT_COUNTER_ROW(member, merge) \
+  {#member, CounterMerge::merge, &ServingStats::member},
+    SHIFTSPLIT_SERVING_COUNTERS(SHIFTSPLIT_COUNTER_ROW)
+#undef SHIFTSPLIT_COUNTER_ROW
+};
+
+inline std::string ServingStats::ToString() const {
+  std::ostringstream out;
+  for (const ServingCounter& counter : kServingCounters) {
+    out << counter.name << '=' << this->*counter.member << ' ';
+  }
+  out << "health=" << ShardHealthToString(health);
+  if (poison_code != StatusCode::kOk) {
+    out << " poison_code=" << StatusCodeToString(poison_code) << " poison=\""
+        << poison_message << "\"";
+  }
+  return out.str();
+}
 
 }  // namespace shiftsplit
 

@@ -233,68 +233,110 @@ bool ShardedCube::TryRepairShardInPlace(
   return true;
 }
 
+ShardedCube::Admission ShardedCube::AdmitLocked(const Slot& slot,
+                                                OperationContext* ctx,
+                                                uint64_t cells) const {
+  if (ShardHealthServes(slot.health) && slot.cube != nullptr) {
+    return Admission::kServe;
+  }
+  // Bounded parking — but only when a supervisor is actually running to
+  // drain the queue on re-admit, and never under an armed deadline (the
+  // caller asked for bounded latency, so fail fast instead).
+  if ((slot.health == ShardHealth::kQuarantined ||
+       slot.health == ShardHealth::kRecovering) &&
+      SupervisorRunning() && !(ctx != nullptr && ctx->has_deadline()) &&
+      slot.parked.size() + cells <= options_.max_parked_writes) {
+    return Admission::kPark;
+  }
+  return Admission::kRefuse;
+}
+
+Status ShardedCube::RefusePoisoned(uint32_t shard,
+                                   const std::shared_ptr<ServingCube>& cube,
+                                   const Status& status) {
+  // Inline detection: mark the slot immediately instead of waiting for the
+  // next supervisor poll. Parity-repairable corruption only DEGRADEs the
+  // slot — the supervisor heals the cube in place and the buffered deltas
+  // survive — so the raw checksum status goes back to the caller.
+  if (MarkRepairing(shard, cube)) return status;
+  // Everything else quarantines so follow-up writes park right away — and
+  // reports the same kUnavailable a non-serving slot answers with (the raw
+  // poison status, kInternal or worse, rides along as the cause).
+  NoteQuarantined(shard, cube);
+  const Slot& slot = *slots_[shard];
+  std::lock_guard<std::mutex> lock(slot.mu);
+  if (!ShardHealthServes(slot.health)) return UnavailableLocked(shard, slot);
+  // Stale race: the supervisor already healed the slot past this cube.
+  return Status::Unavailable("shard " + std::to_string(shard) +
+                             " was quarantined mid-request; retry");
+}
+
 Status ShardedCube::AddToShard(uint32_t shard,
                                std::span<const uint64_t> local, double delta,
                                OperationContext* ctx, bool durable_ack,
-                               uint64_t* seq_out, bool* parked_out,
+                               uint64_t* seq_out,
                                std::shared_ptr<ServingCube>* cube_out) {
   Slot& slot = *slots_[shard];
   std::shared_ptr<ServingCube> cube;
   {
     std::lock_guard<std::mutex> lock(slot.mu);
-    if (ShardHealthServes(slot.health) && slot.cube != nullptr) {
-      cube = slot.cube;
-      // Pre-charge the unapplied-delta mass before the delta can become
-      // visible: the degraded bound must never under-count (a failed Add
-      // leaves a harmless overestimate).
-      slot.pending_abs += std::abs(delta);
-    } else if (slot.health == ShardHealth::kQuarantined ||
-               slot.health == ShardHealth::kRecovering) {
-      // Bounded parking — but only when a supervisor is actually running
-      // to drain the queue on re-admit, and never under an armed deadline
-      // (the caller asked for bounded latency, so fail fast instead).
-      if (SupervisorRunning() && !(ctx != nullptr && ctx->has_deadline()) &&
-          slot.parked.size() < options_.max_parked_writes) {
+    switch (AdmitLocked(slot, ctx, 1)) {
+      case Admission::kServe:
+        cube = slot.cube;
+        // Pre-charge the unapplied-delta mass before the delta can become
+        // visible: the degraded bound must never under-count (a failed Add
+        // leaves a harmless overestimate).
+        slot.pending_abs += std::abs(delta);
+        break;
+      case Admission::kPark:
         slot.parked.push_back(
             ParkedWrite{{local.begin(), local.end()}, delta});
         ++slot.parked_total;
         slot.pending_abs += std::abs(delta);
-        if (parked_out != nullptr) *parked_out = true;
         return Status::OK();
-      }
-      return UnavailableLocked(shard, slot);
-    } else {
-      return UnavailableLocked(shard, slot);
+      case Admission::kRefuse:
+        return UnavailableLocked(shard, slot);
     }
   }
   const Status status =
       durable_ack ? cube->Add(local, delta, ctx)
                   : cube->AddBuffered(local, delta, ctx, seq_out);
   if (!status.ok() && cube->health() == ShardHealth::kQuarantined) {
-    // Inline detection: mark the slot immediately instead of waiting for
-    // the next supervisor poll. Parity-repairable corruption only DEGRADEs
-    // the slot — the supervisor heals the cube in place and the buffered
-    // deltas survive — so the raw checksum status goes back to the caller.
-    if (MarkRepairing(shard, cube)) return status;
-    // Everything else quarantines so follow-up writes park right away —
-    // and report the same kUnavailable the parked/bounced paths do (the
-    // raw poison status, kInternal or worse, rides along as the cause).
-    NoteQuarantined(shard, cube);
-    std::lock_guard<std::mutex> lock(slot.mu);
-    if (!ShardHealthServes(slot.health)) return UnavailableLocked(shard, slot);
-    // Stale race: the supervisor already healed the slot past this cube.
-    return Status::Unavailable("shard " + std::to_string(shard) +
-                               " was quarantined mid-write; retry");
+    return RefusePoisoned(shard, cube, status);
   }
   if (status.ok() && cube_out != nullptr) *cube_out = std::move(cube);
   return status;
+}
+
+Status ShardedCube::AdmitBox(const ShardRange& part, OperationContext* ctx) {
+  uint64_t cells = 1;
+  for (size_t d = 0; d < part.lo.size(); ++d) {
+    cells *= part.hi[d] - part.lo[d] + 1;
+  }
+  Slot& slot = *slots_[part.shard];
+  std::shared_ptr<ServingCube> cube;
+  {
+    std::lock_guard<std::mutex> lock(slot.mu);
+    switch (AdmitLocked(slot, ctx, cells)) {
+      case Admission::kServe:
+        cube = slot.cube;
+        break;
+      case Admission::kPark:
+        return Status::OK();
+      case Admission::kRefuse:
+        return UnavailableLocked(part.shard, slot);
+    }
+  }
+  // A cube that poisoned itself does not serve, whatever its slot says.
+  if (cube->health() != ShardHealth::kQuarantined) return Status::OK();
+  return RefusePoisoned(part.shard, cube, cube->poison_status());
 }
 
 Status ShardedCube::Add(std::span<const uint64_t> coords, double delta,
                         OperationContext* ctx) {
   SS_ASSIGN_OR_RETURN(const uint32_t shard, router_.RoutePoint(coords));
   return AddToShard(shard, router_.ToLocal(coords, shard), delta, ctx,
-                    /*durable_ack=*/true, nullptr, nullptr);
+                    /*durable_ack=*/true, nullptr);
 }
 
 Status ShardedCube::Update(const Tensor& deltas,
@@ -307,12 +349,19 @@ Status ShardedCube::Update(const Tensor& deltas,
   }
   std::vector<uint64_t> hi(origin.begin(), origin.end());
   for (uint32_t d = 0; d < shape.ndim(); ++d) hi[d] += shape.dim(d) - 1;
-  // Validates the box against the global domain; the clipped sub-boxes need
-  // not have power-of-two extents, so cells are buffered individually (in
-  // global row-major order, which keeps each shard's relative order) with
-  // one group ack per touched shard. Cells owned by an unhealthy shard
-  // park (or fail) through the same path as Add; parked cells need no ack.
-  SS_RETURN_IF_ERROR(router_.DecomposeRange(origin, hi).status());
+  // Validates the box against the global domain, and admits every shard it
+  // touches before any cell is buffered: a refused box leaves nothing
+  // applied, so the caller may retry it whole.
+  SS_ASSIGN_OR_RETURN(const std::vector<ShardRange> parts,
+                      router_.DecomposeRange(origin, hi));
+  for (const ShardRange& part : parts) {
+    SS_RETURN_IF_ERROR(AdmitBox(part, ctx));
+  }
+  // The clipped sub-boxes need not have power-of-two extents, so cells are
+  // buffered individually (in global row-major order, which keeps each
+  // shard's relative order) with one group ack per touched shard. Cells
+  // owned by an unhealthy shard park through the same path as Add; parked
+  // cells need no ack.
   std::vector<uint64_t> last_seq(slots_.size(), 0);
   std::vector<std::shared_ptr<ServingCube>> acked(slots_.size());
   std::vector<uint64_t> coords(shape.ndim(), 0);
@@ -322,11 +371,10 @@ Status ShardedCube::Update(const Tensor& deltas,
       absolute[d] = origin[d] + coords[d];
     }
     const uint32_t shard = router_.ShardOf(absolute);
-    bool parked = false;
     SS_RETURN_IF_ERROR(AddToShard(shard, router_.ToLocal(absolute, shard),
                                   deltas.At(coords), ctx,
                                   /*durable_ack=*/false, &last_seq[shard],
-                                  &parked, &acked[shard]));
+                                  &acked[shard]));
   } while (shape.Next(coords));
   for (uint32_t s = 0; s < slots_.size(); ++s) {
     // Ack on the exact cube instance that issued the sequence numbers.
@@ -398,8 +446,7 @@ Status ShardedCube::QueryShard(uint32_t shard, std::span<const uint64_t> lo,
     // Any other failure of a serving shard is the caller's to see; only a
     // shard that poisoned itself during the query is skipped whole.
     if (cube->health() != ShardHealth::kQuarantined) return part.status();
-    if (!MarkRepairing(shard, cube)) NoteQuarantined(shard, cube);
-    why = part.status();
+    why = RefusePoisoned(shard, cube, part.status());
   }
   if (!options.approx_ok()) return why;  // exact mode: fail fast, no stall
   out->error_bound += ShardSkipBound(shard, lo, hi);
@@ -739,50 +786,30 @@ void ShardedCube::StopWorkers() {
 ServingStats ShardedCube::stats() const {
   ServingStats out;
   for (uint32_t s = 0; s < slots_.size(); ++s) {
-    const ServingStats stats = shard_stats(s);
-    out.acked_deltas += stats.acked_deltas;
-    out.coalesced_deltas += stats.coalesced_deltas;
-    out.pending_deltas += stats.pending_deltas;
-    out.pending_slots += stats.pending_slots;
-    out.rejected_unavailable += stats.rejected_unavailable;
-    out.stall_waits += stats.stall_waits;
-    out.stall_us += stats.stall_us;
-    out.apply_batches += stats.apply_batches;
-    out.applied_deltas += stats.applied_deltas;
-    out.replayed_deltas += stats.replayed_deltas;
-    out.overlay_probes += stats.overlay_probes;
-    out.overlay_hits += stats.overlay_hits;
-    out.latch_wait_us_total += stats.latch_wait_us_total;
-    out.latch_hold_us_total += stats.latch_hold_us_total;
-    out.latch_hold_us_max =
-        std::max(out.latch_hold_us_max, stats.latch_hold_us_max);
-    out.latch_exclusive_holds += stats.latch_exclusive_holds;
-    out.log_appends += stats.log_appends;
-    out.log_syncs += stats.log_syncs;
-    out.log_sync_failures += stats.log_sync_failures;
-    out.log_torn_records += stats.log_torn_records;
-    out.last_seq += stats.last_seq;
-    out.durable_seq += stats.durable_seq;
-    out.applied_seq += stats.applied_seq;
-    out.quarantines += stats.quarantines;
-    out.recovery_attempts += stats.recovery_attempts;
-    out.recoveries += stats.recoveries;
-    out.parked_writes += stats.parked_writes;
-    out.parked_dropped += stats.parked_dropped;
-    out.scrub_passes += stats.scrub_passes;
-    out.scrubbed_blocks += stats.scrubbed_blocks;
-    out.scrub_repairs += stats.scrub_repairs;
-    out.parity_repairs += stats.parity_repairs;
-    out.parity_unrepairable += stats.parity_unrepairable;
-    // Worst shard health wins; the poison fields describe the first
-    // unhealthy shard (deterministic: lowest shard index).
-    if (stats.health > out.health) out.health = stats.health;
-    if (stats.poison_code != StatusCode::kOk &&
-        out.poison_code == StatusCode::kOk) {
-      out.poison_code = stats.poison_code;
-      out.poison_message = stats.poison_message;
-      out.poisoned_at_us = stats.poisoned_at_us;
-      out.health_since_us = stats.health_since_us;
+    const ServingStats shard = shard_stats(s);
+    // Worst shard health wins; the incident fields describe the first
+    // poisoned shard (deterministic: lowest shard index).
+    const bool first_incident = shard.poison_code != StatusCode::kOk &&
+                                out.poison_code == StatusCode::kOk;
+    for (const ServingCounter& counter : kServingCounters) {
+      uint64_t& total = out.*counter.member;
+      const uint64_t value = shard.*counter.member;
+      switch (counter.merge) {
+        case CounterMerge::kSum:
+          total += value;
+          break;
+        case CounterMerge::kMax:
+          total = std::max(total, value);
+          break;
+        case CounterMerge::kIncident:
+          if (first_incident) total = value;
+          break;
+      }
+    }
+    out.health = std::max(out.health, shard.health);
+    if (first_incident) {
+      out.poison_code = shard.poison_code;
+      out.poison_message = shard.poison_message;
     }
   }
   return out;

@@ -245,12 +245,9 @@ class ShardedCube {
   /// serving.
   Result<ScrubReport> ScrubAll();
 
-  /// \brief Aggregate counters: sums across shards, except
-  /// latch_hold_us_max which is the per-shard maximum and `health` which
-  /// is the worst shard health (the poison fields describe the first
-  /// unhealthy shard). The sequence watermarks are totals (per-shard
-  /// sequences are independent), so applied == last still means fully
-  /// drained.
+  /// \brief Aggregate counters, each folded across shards by its
+  /// kServingCounters merge rule. `health` is the worst shard health and
+  /// the poison fields describe the first poisoned shard.
   ServingStats stats() const;
   /// \brief One shard's own counters, with the slot's health overlaid.
   ServingStats shard_stats(uint32_t shard) const;
@@ -338,6 +335,20 @@ class ShardedCube {
                              const std::shared_ptr<ServingCube>& cube);
   /// Decorated fast-fail status for a non-serving slot (caller holds mu).
   Status UnavailableLocked(uint32_t shard, const Slot& slot) const;
+  /// How a slot takes `cells` writes (caller holds mu): a serving slot
+  /// buffers them; a QUARANTINED or RECOVERING one parks them while a
+  /// supervisor runs, no deadline is armed and its parking queue has room
+  /// for all of them; any other slot refuses.
+  enum class Admission { kServe, kPark, kRefuse };
+  Admission AdmitLocked(const Slot& slot, OperationContext* ctx,
+                        uint64_t cells) const;
+  /// A write or query found that `cube` (still in `shard`'s slot) poisoned
+  /// itself: marks the slot repairing or quarantined and returns what the
+  /// caller sees — `status` while parity repairs the cube, else
+  /// kUnavailable naming the slot's health.
+  Status RefusePoisoned(uint32_t shard,
+                        const std::shared_ptr<ServingCube>& cube,
+                        const Status& status);
   /// The add/parking path shared by Add and Update. `cube_out` (optional)
   /// receives the exact cube instance the delta was buffered on, so a
   /// group ack (SyncAcks) targets the instance that issued the sequence
@@ -345,8 +356,12 @@ class ShardedCube {
   /// parked write.
   Status AddToShard(uint32_t shard, std::span<const uint64_t> local,
                     double delta, OperationContext* ctx, bool durable_ack,
-                    uint64_t* seq_out, bool* parked_out,
+                    uint64_t* seq_out,
                     std::shared_ptr<ServingCube>* cube_out = nullptr);
+  /// Update's admission of one shard's part of its box, before any cell
+  /// is buffered: OK when the shard serves or can park every cell of the
+  /// part; otherwise the status the whole box fails with.
+  Status AdmitBox(const ShardRange& part, OperationContext* ctx);
   /// Answers `shard`'s part [lo, hi] of a query through `query(cube,
   /// shard_options)` and merges it into `out`, or skips the shard whole per
   /// the QueryOptions RangeSum contract. Errors the query must fail with.

@@ -8,8 +8,6 @@
 #define SHIFTSPLIT_STORAGE_DURABILITY_H_
 
 #include <cstdint>
-#include <sstream>
-#include <string>
 
 namespace shiftsplit {
 
@@ -28,36 +26,6 @@ struct DurabilityStats {
   uint64_t parity_reads = 0;        ///< parity-block reads (repair + update)
   uint64_t parity_writes = 0;       ///< parity-block writes (the write amp)
   bool read_only = false;           ///< store degraded to read-only
-
-  DurabilityStats& operator+=(const DurabilityStats& other) {
-    checksum_failures += other.checksum_failures;
-    quarantined_blocks += other.quarantined_blocks;
-    zero_filled_reads += other.zero_filled_reads;
-    io_retries += other.io_retries;
-    journal_commits += other.journal_commits;
-    journal_replays += other.journal_replays;
-    journal_rollbacks += other.journal_rollbacks;
-    unjournaled_write_backs += other.unjournaled_write_backs;
-    repaired_blocks += other.repaired_blocks;
-    unrepairable_blocks += other.unrepairable_blocks;
-    parity_reads += other.parity_reads;
-    parity_writes += other.parity_writes;
-    read_only = read_only || other.read_only;
-    return *this;
-  }
-
-  std::string ToString() const {
-    std::ostringstream os;
-    os << "checksum failures=" << checksum_failures
-       << " quarantined=" << quarantined_blocks
-       << " zero-filled reads=" << zero_filled_reads
-       << " retries=" << io_retries << " journal c/r/b=" << journal_commits
-       << "/" << journal_replays << "/" << journal_rollbacks
-       << " repaired=" << repaired_blocks
-       << " unrepairable=" << unrepairable_blocks
-       << (read_only ? " [read-only]" : "");
-    return os.str();
-  }
 
   bool operator==(const DurabilityStats&) const = default;
 };

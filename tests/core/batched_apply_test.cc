@@ -265,6 +265,33 @@ TEST(BatchedApplyTest, PrefetchWarmsThePoolAndPreservesParity) {
   ExpectBitIdentical(plain.manager.get(), prefetched.manager.get());
 }
 
+// A sparse apply reads only the blocks it writes, prefetch or not: the
+// chunk's cross-product block set also holds blocks whose every write is a
+// skipped zero, and prefetching that set would read them.
+TEST(BatchedApplyTest, SparsePrefetchReadsOnlyWrittenBlocks) {
+  const std::vector<uint32_t> log_dims{6, 6};
+  Tensor chunk(TensorShape({8, 8}));
+  chunk.At(std::vector<uint64_t>{3, 5}) = 2.5;  // the only non-zero cell
+  const std::vector<uint64_t> pos{2, 5};
+
+  auto plain = MakeStandard(log_dims, 2, 256);
+  auto prefetched = MakeStandard(log_dims, 2, 256);
+  ApplyOptions options;
+  options.batched = true;
+  options.skip_zero_writes = true;
+  ASSERT_OK(ApplyChunkStandard(chunk, pos, log_dims, plain.store.get(),
+                               Normalization::kAverage, options));
+  options.prefetch = true;
+  ASSERT_OK(ApplyChunkStandard(chunk, pos, log_dims, prefetched.store.get(),
+                               Normalization::kAverage, options));
+  EXPECT_EQ(prefetched.store->stats().block_reads,
+            plain.store->stats().block_reads);
+
+  ASSERT_OK(plain.store->Flush());
+  ASSERT_OK(prefetched.store->Flush());
+  ExpectBitIdentical(plain.manager.get(), prefetched.manager.get());
+}
+
 // Runs TransformDatasetStandard with the given thread count on a fresh
 // store and returns the bundle.
 Bundle IngestStandard(uint32_t num_threads, bool prefetch, bool zorder) {

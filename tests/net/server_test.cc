@@ -25,6 +25,7 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -247,6 +248,23 @@ TEST(CubeServerTest, TcpAnswersAreBitIdenticalToInProcessAcrossDrainStates) {
   EXPECT_GT(mono.serving->pending_deltas(), 0u);
   check_all("mixed");
 
+  // The per-cube stats reply carries every ServingStats counter under its
+  // member name, plus health, poison code and shard count, each equal to
+  // the in-process snapshot (nothing touches the cube in between).
+  ASSERT_OK_AND_ASSIGN(const StatsReply reply, client.Stats("cube"));
+  const ServingStats in_process = mono.serving->stats();
+  std::map<std::string, uint64_t> want;
+  for (const ServingCounter& counter : kServingCounters) {
+    want[counter.name] = in_process.*counter.member;
+  }
+  want["health"] = static_cast<uint64_t>(in_process.health);
+  want["poison_code"] = StatusCodeToWire(in_process.poison_code);
+  want["num_shards"] = 1;
+  const std::map<std::string, uint64_t> got(reply.counters.begin(),
+                                            reply.counters.end());
+  EXPECT_EQ(reply.counters.size(), want.size());
+  EXPECT_EQ(got, want);
+
   fx.server->Stop();
   ASSERT_OK(fx.registry->CloseAll());
 }
@@ -313,6 +331,37 @@ TEST(CubeServerTest, DegradedShardedAnswersTravelWithTheirBounds) {
   EXPECT_EQ(Bits(v), Bits(w));
 
   fx.server->Stop();
+}
+
+// An Update box spanning a serving shard and a crashed one is refused
+// whole. The client retries the refusal (an error frame means "not
+// applied"), so a box applied in part would land on the serving shard once
+// per attempt.
+TEST(CubeServerTest, RefusedShardedUpdateAppliesNoCellAcrossRetries) {
+  auto dir = MakeTempDir("refusedbox");
+  ShardedCube::Options options;
+  options.supervise = false;  // a crashed shard must stay down
+  options.serving.start_workers = false;
+  WaveletCube::Options cube_options;
+  auto created = ShardedCube::CreateOnDisk(dir.string(), {4, 3}, 2,
+                                           cube_options, options);
+  ASSERT_TRUE(created.ok()) << created.status();
+  std::shared_ptr<ShardedCube> sharded(std::move(*created));
+  ASSERT_OK(sharded->shard_for_test(1)->CrashForTest());
+
+  auto fx = ServerFixture::Start();
+  ASSERT_OK(fx.registry->Insert("s", ServeHandle::Wrap(sharded)));
+  auto client = fx.Client();  // default retries
+  const std::vector<uint64_t> origin{6, 0};  // cells 6, 7 | 8, 9
+  const std::vector<uint64_t> dims{4, 1};
+  const std::vector<double> ones(4, 1.0);
+  EXPECT_EQ(client.Update("s", origin, dims, ones).code(),
+            StatusCode::kUnavailable);
+  ASSERT_OK_AND_ASSIGN(const double value, sharded->PointQuery(origin));
+  EXPECT_EQ(Bits(value), Bits(0.0));
+
+  fx.server->Stop();
+  std::filesystem::remove_all(dir);
 }
 
 // Block-level degradation reaches the wire for monolithic cubes too: with

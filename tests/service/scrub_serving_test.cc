@@ -200,16 +200,16 @@ TEST(ScrubServingTest, BackgroundScrubberFindsBitRotAndPauses) {
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (scrubber.stats().repaired < 1) {
+  while (serving->stats().scrub_repairs < 1) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "scrubber never repaired the corrupt block";
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   scrubber.Pause();
   EXPECT_TRUE(scrubber.paused());
-  const Scrubber::Stats paused = scrubber.stats();
-  EXPECT_GE(paused.scanned, 1u);
-  EXPECT_EQ(paused.unrepairable, 0u);
+  const ServingStats paused = serving->stats();
+  EXPECT_GE(paused.scrubbed_blocks, 1u);
+  EXPECT_EQ(paused.parity_unrepairable, 0u);
   scrubber.Resume();
   scrubber.Stop();
 

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -254,6 +255,18 @@ TEST_F(ShardedVsMonolithic, PropertyBitIdenticalAcrossDrainStates) {
   EXPECT_EQ(stats.applied_seq, stats.last_seq);
   EXPECT_GT(stats.latch_exclusive_holds, 0u);
   EXPECT_GE(stats.latch_hold_us_total, stats.latch_hold_us_max);
+  // Every aggregate counter is its merge rule folded over the shards. No
+  // shard is poisoned, so the incident counters stay 0.
+  ASSERT_EQ(stats.poison_code, StatusCode::kOk);
+  for (const ServingCounter& counter : kServingCounters) {
+    uint64_t want = 0;
+    for (uint32_t s = 0; s < sharded_->num_shards(); ++s) {
+      const uint64_t value = sharded_->shard_stats(s).*counter.member;
+      if (counter.merge == CounterMerge::kSum) want += value;
+      if (counter.merge == CounterMerge::kMax) want = std::max(want, value);
+    }
+    EXPECT_EQ(stats.*counter.member, want) << counter.name;
+  }
   ASSERT_OK(sharded_->Close());
   ASSERT_OK(mono_->Close());
 }
@@ -833,6 +846,16 @@ TEST(ShardedSelfHealingTest, ParkedWritesReplayOnReadmission) {
   EXPECT_EQ(sharded->shard_health(kVictim).parked, 4u);
   // Queue full: the fifth offer bounces.
   EXPECT_FALSE(sharded->Add(victim_cell(4, 2), 9.0).ok());
+  // A box with a cell for the full queue is refused whole: its cell on the
+  // healthy neighbour shard is not applied either.
+  Tensor box{TensorShape({2, 1})};
+  box.data()[0] = 5.0;
+  box.data()[1] = 7.0;
+  const std::vector<uint64_t> neighbour{kVictim * 8 - 1, 3};
+  EXPECT_EQ(sharded->Update(box, neighbour).code(),
+            StatusCode::kUnavailable);
+  ASSERT_OK_AND_ASSIGN(const double untouched, sharded->PointQuery(neighbour));
+  EXPECT_EQ(Bits(untouched), Bits(0.0));
   // An armed deadline never parks: bounded latency means fail fast.
   OperationContext deadline_ctx;
   deadline_ctx.set_timeout(std::chrono::seconds(30));
@@ -863,6 +886,57 @@ TEST(ShardedSelfHealingTest, ParkedWritesReplayOnReadmission) {
   }
   ASSERT_OK(sharded->Close());
   ASSERT_OK(mono->Close());
+  std::filesystem::remove_all(dir);
+}
+
+// An Update box spanning a serving shard and a crashed one is refused
+// whole, however often it is retried: no cell lands on the serving shard.
+TEST(ShardedSelfHealingTest, RefusedUpdateBoxAppliesNoCell) {
+  const auto dir = MakeTempDir("refusedbox");
+  WaveletCube::Options cube_options;
+  ShardedCube::Options options;
+  options.supervise = false;  // a crashed shard stays down
+  options.serving.start_workers = false;
+  ASSERT_OK_AND_ASSIGN(
+      auto sharded, ShardedCube::CreateOnDisk(dir.string(), {4, 3}, 2,
+                                              cube_options, options));
+  ASSERT_OK(sharded->shard_for_test(1)->CrashForTest());
+
+  Tensor ones{TensorShape({4, 1})};  // cells 6, 7 on shard 0; 8, 9 on 1
+  std::fill(ones.data().begin(), ones.data().end(), 1.0);
+  const std::vector<uint64_t> origin{6, 0};
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    EXPECT_EQ(sharded->Update(ones, origin).code(), StatusCode::kUnavailable);
+    ASSERT_OK_AND_ASSIGN(const double value, sharded->PointQuery(origin));
+    EXPECT_EQ(Bits(value), Bits(0.0)) << "attempt " << attempt;
+  }
+  // The first refusal noted the poisoned cube, as a failed Add does.
+  EXPECT_EQ(sharded->shard_health(1).health, ShardHealth::kQuarantined);
+  ASSERT_OK(sharded->Close());
+  std::filesystem::remove_all(dir);
+}
+
+// The first exact query to reach a shard that poisoned itself fails with
+// kUnavailable naming the shard's health, as every later one does, and
+// marks the slot quarantined on the way.
+TEST(ShardedSelfHealingTest, FirstExactQueryOnPoisonedShardIsUnavailable) {
+  const auto dir = MakeTempDir("firstquery");
+  WaveletCube::Options cube_options;
+  ShardedCube::Options options;
+  options.supervise = false;
+  options.serving.start_workers = false;
+  ASSERT_OK_AND_ASSIGN(
+      auto sharded, ShardedCube::CreateOnDisk(dir.string(), {4, 3}, 2,
+                                              cube_options, options));
+  ASSERT_OK(sharded->shard_for_test(1)->CrashForTest());
+
+  const Result<double> point =
+      sharded->PointQuery(std::vector<uint64_t>{9, 0});
+  ASSERT_FALSE(point.ok());
+  EXPECT_EQ(point.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(point.status().message().find("QUARANTINED"), std::string::npos);
+  EXPECT_EQ(sharded->shard_health(1).health, ShardHealth::kQuarantined);
+  ASSERT_OK(sharded->Close());
   std::filesystem::remove_all(dir);
 }
 

@@ -252,6 +252,42 @@ bench_schema() {
   rm -rf "$(dirname "$fresh")"
 }
 
+# The benchmark (perfbench/, run by BENCHMARK.json) is a CMake package of
+# its own that builds ../src at Release. Configure, build and unit-test it,
+# so a src/ change that breaks the benchmark's build fails here and not in a
+# benchmark run.
+perfbench_build() {
+  echo "==> perfbench build + perfbench_test [build-perfbench]"
+  cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-perfbench -j "$jobs"
+  build-perfbench/perfbench_test
+}
+
+# Test names must not depend on the build: a value-parameterized suite that
+# prints a pointer or padding bytes into its names registers new names in
+# every build, and a test whose name changed looks like a lost one. Two
+# trees of one commit must list the same names.
+test_names() {
+  local listing
+  listing=$(ctest --test-dir "$1" -N) || return 1
+  sed -n 's/^ *Test *#[0-9]*: //p' <<<"$listing" | sort
+}
+stable_test_names() {
+  echo "==> stable test names [build vs build-release]"
+  local debug release
+  debug=$(test_names build)
+  release=$(test_names build-release)
+  if [[ -z "$debug" || -z "$release" ]]; then
+    echo "ctest -N listed no tests in build/ or build-release/" >&2
+    exit 1
+  fi
+  if [[ "$debug" != "$release" ]]; then
+    diff <(echo "$debug") <(echo "$release") >&2 || true
+    echo "ctest names differ between build/ and build-release/" >&2
+    exit 1
+  fi
+}
+
 for preset in default release asan tsan; do
   echo "==> configure [$preset]"
   cmake --preset "$preset"
@@ -262,6 +298,10 @@ for preset in default release asan tsan; do
   echo "==> test [$preset, SHIFTSPLIT_FORCE_SCALAR=1]"
   SHIFTSPLIT_FORCE_SCALAR=1 ctest --preset "$preset" -j "$jobs"
 done
+
+stable_test_names
+
+perfbench_build
 
 scrub_smoke build
 scrub_smoke build-asan

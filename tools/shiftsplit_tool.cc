@@ -698,45 +698,19 @@ Status CmdServeSim(const Args& args) {
   return Status::OK();
 }
 
+void PrintRow(const char* name, uint64_t value) {
+  std::printf("  %-24s %llu\n", name, static_cast<unsigned long long>(value));
+}
+
 void PrintServingRows(const ServingStats& serve) {
-  const auto row = [](const char* name, uint64_t value) {
-    std::printf("  %-24s %llu\n", name,
-                static_cast<unsigned long long>(value));
-  };
-  row("pending_deltas", serve.pending_deltas);
-  row("pending_slots", serve.pending_slots);
-  row("replayed_deltas", serve.replayed_deltas);
-  row("log_torn_records", serve.log_torn_records);
-  row("latch_wait_us_total", serve.latch_wait_us_total);
-  row("latch_hold_us_total", serve.latch_hold_us_total);
-  row("latch_hold_us_max", serve.latch_hold_us_max);
-  row("latch_exclusive_holds", serve.latch_exclusive_holds);
-  row("last_seq", serve.last_seq);
-  row("durable_seq", serve.durable_seq);
-  row("applied_seq", serve.applied_seq);
+  for (const ServingCounter& counter : kServingCounters) {
+    PrintRow(counter.name, serve.*counter.member);
+  }
   std::printf("  %-24s %s\n", "health", ShardHealthToString(serve.health));
   if (serve.poison_code != StatusCode::kOk) {
     std::printf("  %-24s %s: %s\n", "poison_cause",
                 StatusCodeToString(serve.poison_code),
                 serve.poison_message.c_str());
-    row("poisoned_at_us", serve.poisoned_at_us);
-  }
-  row("log_sync_failures", serve.log_sync_failures);
-  if (serve.quarantines != 0 || serve.recovery_attempts != 0 ||
-      serve.parked_writes != 0 || serve.parked_dropped != 0) {
-    row("quarantines", serve.quarantines);
-    row("recovery_attempts", serve.recovery_attempts);
-    row("recoveries", serve.recoveries);
-    row("parked_writes", serve.parked_writes);
-    row("parked_dropped", serve.parked_dropped);
-  }
-  if (serve.scrub_passes != 0 || serve.scrubbed_blocks != 0 ||
-      serve.parity_repairs != 0 || serve.parity_unrepairable != 0) {
-    row("scrub_passes", serve.scrub_passes);
-    row("scrubbed_blocks", serve.scrubbed_blocks);
-    row("scrub_repairs", serve.scrub_repairs);
-    row("parity_repairs", serve.parity_repairs);
-    row("parity_unrepairable", serve.parity_unrepairable);
   }
 }
 
@@ -770,27 +744,23 @@ Status CmdStats(const Args& args) {
   WaveletCube* cube = serving->cube();
   const BufferPool::Stats pool = cube->pool_stats();
   const DurabilityStats durability = cube->durability_stats();
-  const auto row = [](const char* name, uint64_t value) {
-    std::printf("  %-24s %llu\n", name,
-                static_cast<unsigned long long>(value));
-  };
   std::printf("pool:\n");
-  row("hits", pool.hits);
-  row("misses", pool.misses);
-  row("prefetched", pool.prefetched);
-  row("evictions", pool.evictions);
-  row("write_backs", pool.write_backs);
+  PrintRow("hits", pool.hits);
+  PrintRow("misses", pool.misses);
+  PrintRow("prefetched", pool.prefetched);
+  PrintRow("evictions", pool.evictions);
+  PrintRow("write_backs", pool.write_backs);
   std::printf("durability:\n");
-  row("checksum_failures", durability.checksum_failures);
-  row("quarantined_blocks", durability.quarantined_blocks);
-  row("io_retries", durability.io_retries);
-  row("journal_commits", durability.journal_commits);
-  row("journal_replays", durability.journal_replays);
-  row("journal_rollbacks", durability.journal_rollbacks);
-  row("read_only", durability.read_only ? 1 : 0);
-  row("parity group", cube->manifest().parity_group);
-  row("repaired", durability.repaired_blocks);
-  row("unrepairable", durability.unrepairable_blocks);
+  PrintRow("checksum_failures", durability.checksum_failures);
+  PrintRow("quarantined_blocks", durability.quarantined_blocks);
+  PrintRow("io_retries", durability.io_retries);
+  PrintRow("journal_commits", durability.journal_commits);
+  PrintRow("journal_replays", durability.journal_replays);
+  PrintRow("journal_rollbacks", durability.journal_rollbacks);
+  PrintRow("read_only", durability.read_only ? 1 : 0);
+  PrintRow("parity group", cube->manifest().parity_group);
+  PrintRow("repaired", durability.repaired_blocks);
+  PrintRow("unrepairable", durability.unrepairable_blocks);
   std::printf("serving:\n");
   PrintServingRows(serving->stats());
   return Status::OK();
