@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <algorithm>
-#include <set>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -94,72 +94,47 @@ DegradedReason ReasonFor(StatusCode code) {
   }
 }
 
-// The standard-form evaluator: the cross product of per-dimension read
-// lists (Lemma 1 / Lemma 2). In slot-based mode the per-dimension parts are
-// combined by `tiling` when present (the standard cross-product layout) or
-// used directly (the 1-d tree layout). A non-null overlay folds pending
-// contributions into every term.
-//
-// Degradation follows QueryOptions::max_error: exact mode returns the first
-// failed fetch's status; otherwise a degradable failure marks the term's
-// block missing and adds |weight| x sqrt(E_block) to the error bound, and
-// later terms on a missing block are skipped without touching the store (a
-// dead block costs one failed fetch, not many). Terms are enumerated in one
-// fixed order, so with no faults degraded and exact answers are
-// bit-identical.
-Result<DegradedResult> EvaluateCrossProduct(
-    TiledStore* store, const StandardTiling* tiling, bool slot_based,
-    const std::vector<std::vector<DimRead>>& reads,
-    const QueryOptions& options, const char* query) {
-  const uint32_t d = static_cast<uint32_t>(reads.size());
-  const CoefficientOverlay* overlay = options.overlay;
+// One cross-product term: the physical slot it reads and its weight.
+struct Term {
+  BlockSlot at;
+  double weight = 1.0;
+};
+
+// Lists the cross product of per-dimension read lists (Lemma 1 / Lemma 2)
+// in the one fixed term order, last dimension fastest, calling
+// visit(term, pick) for every term of nonzero weight (pick[i] indexes
+// reads[i]). In slot-based mode the per-dimension parts are combined by
+// `tiling` when present (the standard cross-product layout) or used
+// directly (the 1-d tree layout).
+template <typename Visit>
+Status ForEachTerm(TiledStore* store, const StandardTiling* tiling,
+                   bool slot_based,
+                   const std::vector<std::vector<DimRead>>& reads,
+                   const Visit& visit) {
+  const size_t d = reads.size();
   std::vector<size_t> pick(d, 0);
   std::vector<uint64_t> address(d);
   std::vector<BlockSlot> parts(d);
-  DegradedResult out;
-  std::set<uint64_t> missing;
   for (;;) {
-    double weight = 1.0;
-    for (uint32_t i = 0; i < d; ++i) {
+    Term term;
+    for (size_t i = 0; i < d; ++i) {
       const DimRead& r = reads[i][pick[i]];
-      weight *= r.weight;
+      term.weight *= r.weight;
       if (slot_based) {
         parts[i] = r.part;
       } else {
         address[i] = r.index;
       }
     }
-    if (weight != 0.0) {
-      BlockSlot at;
+    if (term.weight != 0.0) {
       if (slot_based) {
-        at = tiling != nullptr ? tiling->Combine(parts) : parts[0];
+        term.at = tiling != nullptr ? tiling->Combine(parts) : parts[0];
       } else {
-        SS_ASSIGN_OR_RETURN(at, store->layout().Locate(address));
+        SS_ASSIGN_OR_RETURN(term.at, store->layout().Locate(address));
       }
-      bool skipped = missing.contains(at.block);
-      if (!skipped) {
-        const Result<double> coeff = store->GetAt(at, options.context);
-        if (coeff.ok()) {
-          const double merged =
-              overlay != nullptr ? overlay->Adjust(at, *coeff) : *coeff;
-          out.value += weight * merged;
-        } else if (options.approx_ok() && IsDegradableError(coeff.status())) {
-          missing.insert(at.block);
-          if (out.reason == DegradedReason::kNone) {
-            out.reason = ReasonFor(coeff.status().code());
-          }
-          skipped = true;
-        } else {
-          return coeff.status();
-        }
-      }
-      if (skipped) {
-        out.error_bound +=
-            std::abs(weight) * store->BlockEnergyCeiling(at.block);
-        if (overlay != nullptr) out.value += weight * overlay->Adjust(at, 0.0);
-      }
+      visit(term, std::span<const size_t>(pick));
     }
-    uint32_t i = d;
+    size_t i = d;
     bool advanced = false;
     while (i-- > 0) {
       if (++pick[i] < reads[i].size()) {
@@ -168,11 +143,143 @@ Result<DegradedResult> EvaluateCrossProduct(
       }
       pick[i] = 0;
     }
-    if (!advanced) break;
+    if (!advanced) return Status::OK();
   }
-  out.blocks_missing = missing.size();
+}
+
+// One term as the per-block step read it: the stored coefficient with its
+// pending contributions folded in, or, when its block was skipped, those
+// contributions folded into 0.0 (0.0 without an overlay).
+struct TermRead {
+  double merged = 0.0;
+  bool skipped = false;
+};
+
+// The per-block step of every standard-form evaluator. Each distinct block
+// is visited once, in the order of its first term: one read pin (the only
+// pin held), then, under an overlay, one FoldBlock over all of the block's
+// terms. Returns one TermRead per term, in term order.
+//
+// A failed pin follows QueryOptions::max_error: exact mode returns its
+// status; a degradable failure skips every term on the block at once,
+// counts the block in out->blocks_missing and, if it is the first, sets
+// out->reason.
+Result<std::vector<TermRead>> FetchByBlock(TiledStore* store,
+                                           std::span<const Term> terms,
+                                           const QueryOptions& options,
+                                           DegradedResult* out) {
+  // Term indices grouped by block, term order within a group.
+  std::vector<size_t> order(terms.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return terms[a].at.block < terms[b].at.block;
+  });
+  std::vector<std::pair<size_t, size_t>> groups;  // [begin, end) of order
+  for (size_t begin = 0, end = 0; begin < order.size(); begin = end) {
+    while (end < order.size() &&
+           terms[order[end]].at.block == terms[order[begin]].at.block) {
+      ++end;
+    }
+    groups.emplace_back(begin, end);
+  }
+  std::sort(groups.begin(), groups.end(), [&](const auto& a, const auto& b) {
+    return order[a.first] < order[b.first];
+  });
+  std::vector<uint64_t> slots(order.size());
+  for (size_t k = 0; k < order.size(); ++k) slots[k] = terms[order[k]].at.slot;
+  std::vector<double> merged(order.size(), 0.0);
+  std::vector<TermRead> reads(terms.size());
+  for (const auto& [begin, end] : groups) {
+    const uint64_t block = terms[order[begin]].at.block;
+    const Result<PageGuard> page =
+        store->PinForRead(block, end - begin, options.context);
+    const bool skipped = !page.ok();
+    if (skipped) {
+      if (!options.approx_ok() || !IsDegradableError(page.status())) {
+        return page.status();
+      }
+      ++out->blocks_missing;
+      if (out->reason == DegradedReason::kNone) {
+        out->reason = ReasonFor(page.status().code());
+      }
+    }
+    const std::span<const double> stored =
+        skipped ? std::span<const double>() : page->span();
+    const std::span<const uint64_t> group_slots(&slots[begin], end - begin);
+    const std::span<double> group_merged(&merged[begin], end - begin);
+    if (options.overlay != nullptr) {
+      options.overlay->FoldBlock(block, stored, group_slots, group_merged);
+    } else if (!skipped) {
+      for (size_t k = 0; k < group_slots.size(); ++k) {
+        group_merged[k] = stored[group_slots[k]];
+      }
+    }
+    for (size_t k = begin; k < end; ++k) reads[order[k]] = {merged[k], skipped};
+  }
+  return reads;
+}
+
+// The standard-form evaluator: lists the cross-product terms, fetches them
+// block by block, and sums them in term order — so with no faults degraded
+// and exact answers are bit-identical. A term on a skipped block adds
+// |weight| x sqrt(E_block) to the error bound and, under an overlay,
+// weight x its pending contributions to the value.
+Result<DegradedResult> EvaluateCrossProduct(
+    TiledStore* store, const StandardTiling* tiling, bool slot_based,
+    const std::vector<std::vector<DimRead>>& reads,
+    const QueryOptions& options, const char* query) {
+  std::vector<Term> terms;
+  SS_RETURN_IF_ERROR(
+      ForEachTerm(store, tiling, slot_based, reads,
+                  [&](const Term& term, std::span<const size_t>) {
+                    terms.push_back(term);
+                  }));
+  DegradedResult out;
+  SS_ASSIGN_OR_RETURN(const std::vector<TermRead> fetched,
+                      FetchByBlock(store, terms, options, &out));
+  for (size_t t = 0; t < terms.size(); ++t) {
+    const double weight = terms[t].weight;
+    if (!fetched[t].skipped) {
+      out.value += weight * fetched[t].merged;
+      continue;
+    }
+    out.error_bound +=
+        std::abs(weight) * store->BlockEnergyCeiling(terms[t].at.block);
+    if (options.overlay != nullptr) out.value += weight * fetched[t].merged;
+  }
   SS_RETURN_IF_ERROR(CheckErrorBound(out, options, query));
   return out;
+}
+
+// Per-dimension reads of the sum over the box [lo, hi]: the union of the
+// two boundary paths, with their nonzero Lemma-2 weights (every other
+// detail has zero aggregate weight by the vanishing moment).
+Result<std::vector<std::vector<DimRead>>> RangeSumReads(
+    std::span<const uint32_t> log_dims, std::span<const uint64_t> lo,
+    std::span<const uint64_t> hi, Normalization norm) {
+  const uint32_t d = static_cast<uint32_t>(log_dims.size());
+  if (lo.size() != d || hi.size() != d) {
+    return Status::InvalidArgument("range dimensionality mismatch");
+  }
+  std::vector<std::vector<DimRead>> reads(d);
+  for (uint32_t i = 0; i < d; ++i) {
+    const uint32_t n = log_dims[i];
+    if (lo[i] > hi[i] || hi[i] >= (uint64_t{1} << n)) {
+      return Status::OutOfRange("bad range bounds");
+    }
+    std::vector<uint64_t> candidates = PathToRoot(n, lo[i]);
+    for (uint64_t idx : PathToRoot(n, hi[i])) {
+      if (std::find(candidates.begin(), candidates.end(), idx) ==
+          candidates.end()) {
+        candidates.push_back(idx);
+      }
+    }
+    for (uint64_t idx : candidates) {
+      const double w = RangeSumWeight(n, idx, lo[i], hi[i], norm);
+      if (w != 0.0) reads[i].push_back({idx, {}, w});
+    }
+  }
+  return reads;
 }
 
 }  // namespace
@@ -404,30 +511,8 @@ Result<DegradedResult> RangeSumStandard(TiledStore* store,
                                         std::span<const uint64_t> lo,
                                         std::span<const uint64_t> hi,
                                         const QueryOptions& options) {
-  const uint32_t d = static_cast<uint32_t>(log_dims.size());
-  if (lo.size() != d || hi.size() != d) {
-    return Status::InvalidArgument("range dimensionality mismatch");
-  }
-  std::vector<std::vector<DimRead>> reads(d);
-  for (uint32_t i = 0; i < d; ++i) {
-    const uint32_t n = log_dims[i];
-    if (lo[i] > hi[i] || hi[i] >= (uint64_t{1} << n)) {
-      return Status::OutOfRange("bad range bounds");
-    }
-    // Candidate indices: union of the two boundary paths (all other details
-    // have zero aggregate weight by the vanishing moment).
-    std::vector<uint64_t> candidates = PathToRoot(n, lo[i]);
-    for (uint64_t idx : PathToRoot(n, hi[i])) {
-      if (std::find(candidates.begin(), candidates.end(), idx) ==
-          candidates.end()) {
-        candidates.push_back(idx);
-      }
-    }
-    for (uint64_t idx : candidates) {
-      const double w = RangeSumWeight(n, idx, lo[i], hi[i], options.norm);
-      if (w != 0.0) reads[i].push_back({idx, {}, w});
-    }
-  }
+  SS_ASSIGN_OR_RETURN(const auto reads,
+                      RangeSumReads(log_dims, lo, hi, options.norm));
   return EvaluateCrossProduct(store, nullptr, false, reads, options,
                               "range sum");
 }
@@ -436,82 +521,41 @@ Result<std::vector<ProgressiveEstimate>> ProgressiveRangeSumStandard(
     TiledStore* store, std::span<const uint32_t> log_dims,
     std::span<const uint64_t> lo, std::span<const uint64_t> hi,
     const QueryOptions& options) {
-  const uint32_t d = static_cast<uint32_t>(log_dims.size());
-  if (lo.size() != d || hi.size() != d) {
-    return Status::InvalidArgument("range dimensionality mismatch");
-  }
-  // Per-dimension candidates with their depth (n - level; the root is 0).
-  struct Candidate {
-    uint64_t index;
-    double weight;
-    uint32_t depth;
-  };
-  std::vector<std::vector<Candidate>> reads(d);
-  for (uint32_t i = 0; i < d; ++i) {
-    const uint32_t n = log_dims[i];
-    if (lo[i] > hi[i] || hi[i] >= (uint64_t{1} << n)) {
-      return Status::OutOfRange("bad range bounds");
-    }
-    std::vector<uint64_t> candidates = PathToRoot(n, lo[i]);
-    for (uint64_t idx : PathToRoot(n, hi[i])) {
-      if (std::find(candidates.begin(), candidates.end(), idx) ==
-          candidates.end()) {
-        candidates.push_back(idx);
-      }
-    }
-    for (uint64_t idx : candidates) {
-      const double w = RangeSumWeight(n, idx, lo[i], hi[i], options.norm);
-      if (w == 0.0) continue;
-      const uint32_t depth = idx == 0 ? 0 : (n - CoordOfIndex(n, idx).level);
-      reads[i].push_back({idx, w, depth});
-    }
-  }
-  // Bucket the cross-product terms by total depth, then evaluate
-  // coarse-to-fine.
-  uint32_t max_depth = 0;
-  std::vector<size_t> pick(d, 0);
-  std::vector<uint64_t> address(d);
-  struct Term {
-    std::vector<uint64_t> address;
-    double weight;
-  };
+  SS_ASSIGN_OR_RETURN(const auto reads,
+                      RangeSumReads(log_dims, lo, hi, options.norm));
+  // Bucket the terms by total depth (per dimension n - level; the root is
+  // 0), term order within a bucket, then evaluate coarse-to-fine.
   std::vector<std::vector<Term>> by_depth(1);
-  for (;;) {
-    double weight = 1.0;
-    uint32_t depth = 0;
-    for (uint32_t i = 0; i < d; ++i) {
-      const Candidate& c = reads[i][pick[i]];
-      address[i] = c.index;
-      weight *= c.weight;
-      depth += c.depth;
-    }
-    if (depth > max_depth) {
-      max_depth = depth;
-      by_depth.resize(max_depth + 1);
-    }
-    by_depth[depth].push_back({address, weight});
-    uint32_t i = d;
-    bool advanced = false;
-    while (i-- > 0) {
-      if (++pick[i] < reads[i].size()) {
-        advanced = true;
-        break;
-      }
-      pick[i] = 0;
-    }
-    if (!advanced) break;
+  SS_RETURN_IF_ERROR(ForEachTerm(
+      store, nullptr, false, reads,
+      [&](const Term& term, std::span<const size_t> pick) {
+        uint32_t depth = 0;
+        for (size_t i = 0; i < pick.size(); ++i) {
+          const uint64_t idx = reads[i][pick[i]].index;
+          if (idx != 0) {
+            depth += log_dims[i] - CoordOfIndex(log_dims[i], idx).level;
+          }
+        }
+        if (depth >= by_depth.size()) by_depth.resize(depth + 1);
+        by_depth[depth].push_back(term);
+      }));
+  std::vector<Term> terms;
+  for (const std::vector<Term>& bucket : by_depth) {
+    terms.insert(terms.end(), bucket.begin(), bucket.end());
   }
+  QueryOptions exact = options;
+  exact.max_error = 0.0;
+  DegradedResult unused;
+  SS_ASSIGN_OR_RETURN(const std::vector<TermRead> fetched,
+                      FetchByBlock(store, terms, exact, &unused));
   std::vector<ProgressiveEstimate> rounds;
   double estimate = 0.0;
   uint64_t read = 0;
-  for (uint32_t depth = 0; depth <= max_depth; ++depth) {
+  for (uint32_t depth = 0; depth < by_depth.size(); ++depth) {
     for (const Term& term : by_depth[depth]) {
-      SS_ASSIGN_OR_RETURN(const double coeff,
-                          store->Get(term.address, options.context));
-      estimate += term.weight * coeff;
-      ++read;
+      estimate += term.weight * fetched[read++].merged;
     }
-    if (!by_depth[depth].empty() || depth == max_depth) {
+    if (!by_depth[depth].empty() || depth + 1 == by_depth.size()) {
       rounds.push_back({depth, estimate, read});
     }
   }

@@ -20,22 +20,29 @@
 namespace shiftsplit {
 
 /// \brief Read-side merge hook: folds pending (buffered but not yet applied)
-/// contributions into a fetched coefficient. Implemented by the serving
+/// contributions into fetched coefficients. Implemented by the serving
 /// layer's DeltaBuffer; a query evaluated with a non-null overlay answers as
 /// if every pending delta were already applied to the store.
 ///
-/// Adjust must reproduce the store's own accumulation arithmetic: starting
-/// from `stored`, add each pending contribution for the physical slot `at`
-/// with `+=` in arrival order — the same floating-point chain ApplyToBlock
-/// would execute — so merged answers are bit-identical to a fully-applied
-/// store. Implementations must be safe to call from the querying thread
-/// while writers keep buffering (the serving DeltaBuffer locks internally).
+/// The standard-form evaluators call FoldBlock once per distinct block a
+/// query touches, with every term that reads the block. It must reproduce
+/// the store's own accumulation arithmetic: per slot, start from the stored
+/// value and add each pending contribution with `+=` in arrival order — the
+/// same floating-point chain ApplyToBlock would execute — so merged answers
+/// are bit-identical to a fully-applied store. Implementations must be safe
+/// to call from the querying thread while writers keep buffering (the
+/// serving DeltaBuffer reads the stored slots and folds them in one critical
+/// section of its lock).
 class CoefficientOverlay {
  public:
   virtual ~CoefficientOverlay() = default;
 
-  /// \brief Returns `stored` with the slot's pending contributions folded in.
-  virtual double Adjust(BlockSlot at, double stored) const = 0;
+  /// \brief Writes to merged[i] the coefficient at (block, slots[i]) with
+  /// its pending contributions folded in, starting from stored[slots[i]] —
+  /// or from 0.0 when `stored` is empty (a block the query skipped).
+  virtual void FoldBlock(uint64_t block, std::span<const double> stored,
+                         std::span<const uint64_t> slots,
+                         std::span<double> merged) const = 0;
 };
 
 /// \brief Options shared by the query entry points.
@@ -46,27 +53,28 @@ struct QueryOptions {
   /// store's layout has no such slots.
   bool use_scaling_slots = false;
   /// Deadline / cancellation / retry budget for the query (not owned; may
-  /// be null). Checked between block fetches, so a query past its deadline
-  /// unwinds within one block read. Null: unbounded, as before.
+  /// be null). Checked before each distinct block's pin, so a query past its
+  /// deadline unwinds within one block read. Null: unbounded, as before.
   OperationContext* context = nullptr;
-  /// Pending-delta merge hook (not owned; may be null). Applied to every
-  /// coefficient term of the standard-form point/range/batch evaluators;
-  /// null keeps the store-only semantics.
+  /// Pending-delta merge hook (not owned; may be null). The standard-form
+  /// point, range, batch and progressive evaluators fold it into every
+  /// term, one CoefficientOverlay::FoldBlock per distinct block; null keeps
+  /// the store-only semantics.
   const CoefficientOverlay* overlay = nullptr;
   /// The one switch between exact and degraded answers, in every layer —
   /// core evaluators, WaveletCube, ServingCube, ShardedCube and the wire:
-  ///  * 0 (default) demands an exact answer: the first failed block fetch
-  ///    fails the query with that fetch's own status.
-  ///  * > 0: a fetch failing with a degradable code (checksum mismatch,
+  ///  * 0 (default) demands an exact answer: the first block that fails to
+  ///    pin fails the query with that pin's own status.
+  ///  * > 0: a block failing with a degradable code (checksum mismatch,
   ///    pin exhaustion, I/O or availability errors that outlasted their
-  ///    retries, a deadline passing mid-query) skips its cross-product
-  ///    term and adds |w|·sqrt(E_block) to DegradedResult::error_bound;
-  ///    every other code propagates. Under an overlay the skipped term still
-  ///    contributes w·overlay->Adjust(at, 0.0) — the pending deltas are in
-  ///    memory, so the bound covers only the stored coefficient. A sharded
-  ///    router additionally skips whole unavailable shards (see
-  ///    ShardedCube). If the final bound is not <= max_error the query fails
-  ///    kUnavailable.
+  ///    retries, a deadline passing mid-query) skips every cross-product
+  ///    term on it at once, each adding |w|·sqrt(E_block) to
+  ///    DegradedResult::error_bound; every other code propagates. Under an
+  ///    overlay each skipped term still contributes w times its pending
+  ///    contributions folded into 0.0 — the pending deltas are in memory,
+  ///    so the bound covers only the stored coefficient. A sharded router
+  ///    additionally skips whole unavailable shards (see ShardedCube). If
+  ///    the final bound is not <= max_error the query fails kUnavailable.
   /// Use +infinity for "any degraded answer beats no answer". Non-standard
   /// evaluators are exact-only: max_error > 0 is kUnimplemented there.
   double max_error = 0.0;
@@ -213,7 +221,10 @@ struct ProgressiveEstimate {
 /// of wavelets the paper's introduction cites): the Lemma-2 contributions
 /// are consumed coarse-to-fine (by total tree depth of the coefficient
 /// tuple), and the running estimate is reported after each depth. The last
-/// estimate equals RangeSumStandard exactly.
+/// estimate is RangeSumStandard's answer summed in depth order instead of
+/// term order, so the two can differ in the last bits. Exact only: the
+/// first block that fails to pin fails the call, whatever options.max_error
+/// says.
 Result<std::vector<ProgressiveEstimate>> ProgressiveRangeSumStandard(
     TiledStore* store, std::span<const uint32_t> log_dims,
     std::span<const uint64_t> lo, std::span<const uint64_t> hi,

@@ -27,7 +27,10 @@ DeltaBuffer::Snapshot::~Snapshot() {
   buffer_->snapshots_.erase(it_);
 }
 
-double DeltaBuffer::OverlayView::Adjust(BlockSlot at, double stored) const {
+void DeltaBuffer::OverlayView::FoldBlock(uint64_t block,
+                                         std::span<const double> stored,
+                                         std::span<const uint64_t> slots,
+                                         std::span<double> merged) const {
   // The chain fold reads SeqContribution::value straight out of the vector
   // as a strided (AoS) double stream.
   static_assert(sizeof(SeqContribution) == 2 * sizeof(double),
@@ -36,23 +39,27 @@ double DeltaBuffer::OverlayView::Adjust(BlockSlot at, double stored) const {
                 "SeqContribution::value must sit at the second lane");
   constexpr size_t kStride = sizeof(SeqContribution) / sizeof(double);
   std::lock_guard<std::mutex> lock(buffer_->mu_);
-  ++buffer_->overlay_probes_;
-  const auto block_it = buffer_->slots_.find(at.block);
-  if (block_it == buffer_->slots_.end()) return stored;
-  const auto slot_it = block_it->second.find(at.slot);
-  if (slot_it == block_it->second.end()) return stored;
-  // Fold the pending contributions with seq <= snapshot in sequence order —
-  // the exact += chain the drain will later run against the stored value.
-  // The entries are seq-sorted, so the in-snapshot ones are a prefix.
-  // fold_chain_strided is scalar in every dispatch tier by design: a serial
-  // dependent sum cannot be vectorized without reassociating it.
-  const std::vector<SeqContribution>& pending = slot_it->second;
-  const size_t count =
-      static_cast<size_t>(UpperBound(pending, snap_) - pending.begin());
-  if (count == 0) return stored;
-  ++buffer_->overlay_hits_;
-  return kernels::Active().fold_chain_strided(stored, &pending[0].value,
-                                              kStride, count);
+  buffer_->overlay_probes_ += slots.size();
+  const auto block_it = buffer_->slots_.find(block);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    merged[i] = stored.empty() ? 0.0 : stored[slots[i]];
+    if (block_it == buffer_->slots_.end()) continue;
+    const auto slot_it = block_it->second.find(slots[i]);
+    if (slot_it == block_it->second.end()) continue;
+    // Fold the pending contributions with seq <= snapshot in sequence order
+    // — the exact += chain the drain will later run against the stored
+    // value. The entries are seq-sorted, so the in-snapshot ones are a
+    // prefix. fold_chain_strided is scalar in every dispatch tier by
+    // design: a serial dependent sum cannot be vectorized without
+    // reassociating it.
+    const std::vector<SeqContribution>& pending = slot_it->second;
+    const size_t count =
+        static_cast<size_t>(UpperBound(pending, snap_) - pending.begin());
+    if (count == 0) continue;
+    ++buffer_->overlay_hits_;
+    merged[i] = kernels::Active().fold_chain_strided(
+        merged[i], &pending[0].value, kStride, count);
+  }
 }
 
 void DeltaBuffer::InsertPlanLocked(std::span<const ChunkBlockOps> plan,

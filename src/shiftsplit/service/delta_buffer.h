@@ -3,7 +3,7 @@
 // the store's layout, never touching the store); maintenance drains a
 // sequence-number prefix of the buffer into the store; queries fold the
 // still-pending contributions into every fetched coefficient through the
-// CoefficientOverlay hook.
+// CoefficientOverlay hook, one block at a time.
 //
 // Exactness invariant: every contribution is kept at its own sequence
 // number, per physical (block, slot). The overlay folds a slot's pending
@@ -84,13 +84,18 @@ class DeltaBuffer {
 
   /// \brief CoefficientOverlay over the buffer at a snapshot: folds each
   /// probed slot's pending contributions with seq <= the snapshot, in
-  /// sequence order. The referenced Snapshot must outlive the view.
+  /// sequence order. One FoldBlock is one critical section of the buffer
+  /// lock, which reads the block's stored slots and folds them all (each
+  /// slot still counts as one overlay probe). The referenced Snapshot must
+  /// outlive the view.
   class OverlayView : public CoefficientOverlay {
    public:
     OverlayView(const DeltaBuffer* buffer, const Snapshot& snapshot)
         : buffer_(buffer), snap_(snapshot.seq()) {}
 
-    double Adjust(BlockSlot at, double stored) const override;
+    void FoldBlock(uint64_t block, std::span<const double> stored,
+                   std::span<const uint64_t> slots,
+                   std::span<double> merged) const override;
 
    private:
     const DeltaBuffer* buffer_;

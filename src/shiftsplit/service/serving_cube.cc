@@ -647,7 +647,9 @@ ServingStats ServingCube::stats() const {
   if (log_ != nullptr) {
     out.log_appends = log_->appends();
     out.log_syncs = log_->syncs();
-    out.durable_seq = log_->durable_seq();
+    // Every delta at or below the applied watermark is durable in the
+    // committed store, also after the idle truncation restarted the log.
+    out.durable_seq = std::max(log_->durable_seq(), out.applied_seq);
     out.log_torn_records = log_->torn_records();
   }
   out.log_sync_failures =

@@ -87,10 +87,16 @@ Status TiledStore::FailIfReadOnly() const {
 }
 
 Result<double> TiledStore::GetAt(BlockSlot at, OperationContext* ctx) {
-  SS_ASSIGN_OR_RETURN(const PageGuard page,
-                      pool_.GetBlock(at.block, /*for_write=*/false, ctx));
-  ++manager_->stats().coeff_reads;
+  SS_ASSIGN_OR_RETURN(const PageGuard page, PinForRead(at.block, 1, ctx));
   return page[at.slot];
+}
+
+Result<PageGuard> TiledStore::PinForRead(uint64_t block, uint64_t coeffs,
+                                         OperationContext* ctx) {
+  SS_ASSIGN_OR_RETURN(PageGuard page,
+                      pool_.GetBlock(block, /*for_write=*/false, ctx));
+  manager_->stats().coeff_reads += coeffs;
+  return page;
 }
 
 Status TiledStore::SetAt(BlockSlot at, double value) {

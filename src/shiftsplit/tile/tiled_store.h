@@ -70,6 +70,12 @@ class TiledStore {
   Status SetAt(BlockSlot at, double value);
   Status AddAt(BlockSlot at, double delta);
 
+  /// \brief Pins `block` for reading `coeffs` of its coefficients through
+  /// the guard, each counted as one coefficient read — the block-at-a-time
+  /// read of the query evaluators (GetAt is its one-coefficient case).
+  Result<PageGuard> PinForRead(uint64_t block, uint64_t coeffs,
+                               OperationContext* ctx = nullptr);
+
   /// \brief Pins a whole tile for bulk access. The returned guard keeps the
   /// frame valid (never an eviction victim) until it is released, so callers
   /// may hold several tiles at once — bounded by the pool capacity, beyond

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
+#include <set>
 
 #include "shiftsplit/core/md_shift_split.h"
 #include "shiftsplit/wavelet/standard_transform.h"
@@ -467,6 +469,144 @@ TEST(ResilientQueryTest, DegradedReasonNamesAreStable) {
                "Deadline");
   EXPECT_STREQ(DegradedReasonToString(DegradedReason::kUnavailable),
                "Unavailable");
+}
+
+// A CoefficientOverlay that counts its calls. Its pending values per
+// (block, slot) fold with += in list order, like the serving DeltaBuffer's.
+class CountingOverlay : public CoefficientOverlay {
+ public:
+  void FoldBlock(uint64_t block, std::span<const double> stored,
+                 std::span<const uint64_t> slots,
+                 std::span<double> merged) const override {
+    ++calls;
+    terms += slots.size();
+    blocks.insert(block);
+    for (size_t i = 0; i < slots.size(); ++i) {
+      merged[i] = stored.empty() ? 0.0 : stored[slots[i]];
+      const auto it = pending.find({block, slots[i]});
+      if (it == pending.end()) continue;
+      for (const double v : it->second) merged[i] += v;
+    }
+  }
+
+  void Reset() {
+    calls = 0;
+    terms = 0;
+    blocks.clear();
+  }
+
+  std::map<std::pair<uint64_t, uint64_t>, std::vector<double>> pending;
+  mutable uint64_t calls = 0;
+  mutable uint64_t terms = 0;  // slots folded, one per query term
+  mutable std::set<uint64_t> blocks;
+};
+
+// The evaluator folds each distinct block once, and its merged answers are
+// those of a store to which the pending values were applied.
+TEST(OverlayFoldTest, OneFoldPerDistinctBlockMatchesAppliedStore) {
+  const std::vector<uint32_t> log_dims{5, 5};
+  Bundle live = LoadedStandard(log_dims, Normalization::kAverage, 41);
+  Bundle applied = LoadedStandard(log_dims, Normalization::kAverage, 41);
+  // Dyadic pending values on a third of the slots (two on some), applied to
+  // the reference store in the same order.
+  CountingOverlay overlay;
+  const TileLayout& layout = live.store->layout();
+  for (uint64_t block = 0; block < layout.num_blocks(); ++block) {
+    std::vector<SlotUpdate> ops;
+    for (uint64_t slot = 0; slot < layout.block_capacity(); ++slot) {
+      if ((block + slot) % 3 != 0) continue;
+      std::vector<double>& values = overlay.pending[{block, slot}];
+      values.push_back(0.125 * static_cast<double>((block * 7 + slot) % 9) -
+                       0.5);
+      if (slot % 2 == 0) values.push_back(0.25);
+      for (const double v : values) ops.push_back({slot, v, false});
+    }
+    ASSERT_OK(applied.store->ApplyToBlock(block, ops));
+  }
+  QueryOptions plain;
+  QueryOptions merged;
+  merged.overlay = &overlay;
+  const auto reads = [&] { return live.manager->stats().coeff_reads.load(); };
+
+  for (const bool slots : {false, true}) {
+    plain.use_scaling_slots = merged.use_scaling_slots = slots;
+    std::vector<uint64_t> point(2, 0);
+    do {
+      overlay.Reset();
+      const uint64_t reads_before = reads();
+      ASSERT_OK_AND_ASSIGN(
+          const DegradedResult got,
+          PointQueryStandard(live.store.get(), log_dims, point, merged));
+      ASSERT_OK_AND_ASSIGN(
+          const DegradedResult want,
+          PointQueryStandard(applied.store.get(), log_dims, point, plain));
+      EXPECT_EQ(got.value, want.value);
+      EXPECT_EQ(reads() - reads_before, overlay.terms);
+      EXPECT_EQ(overlay.calls, overlay.blocks.size());
+      if (slots) {
+        EXPECT_EQ(overlay.calls, 1u);  // the deepest tile holds every term
+      } else {
+        EXPECT_EQ(overlay.terms, 36u);  // (n + 1)^2 path terms
+      }
+    } while (live.data.shape().Next(point));
+  }
+
+  Xoshiro256 rng(42);
+  for (int i = 0; i < 200; ++i) {
+    std::vector<uint64_t> lo(2), hi(2);
+    for (int d = 0; d < 2; ++d) {
+      const uint64_t a = rng.NextBounded(32), b = rng.NextBounded(32);
+      lo[d] = std::min(a, b);
+      hi[d] = std::max(a, b);
+    }
+    ASSERT_OK(live.store->pool().Clear());
+    overlay.Reset();
+    const uint64_t misses_before = live.store->pool().misses();
+    const uint64_t reads_before = reads();
+    ASSERT_OK_AND_ASSIGN(
+        const DegradedResult got,
+        RangeSumStandard(live.store.get(), log_dims, lo, hi, merged));
+    ASSERT_OK_AND_ASSIGN(
+        const DegradedResult want,
+        RangeSumStandard(applied.store.get(), log_dims, lo, hi, plain));
+    EXPECT_EQ(got.value, want.value);
+    EXPECT_EQ(overlay.calls, overlay.blocks.size());
+    EXPECT_EQ(overlay.calls, live.store->pool().misses() - misses_before);
+    EXPECT_EQ(reads() - reads_before, overlay.terms);
+
+    overlay.Reset();
+    ASSERT_OK_AND_ASSIGN(
+        const auto got_rounds,
+        ProgressiveRangeSumStandard(live.store.get(), log_dims, lo, hi,
+                                    merged));
+    ASSERT_OK_AND_ASSIGN(
+        const auto want_rounds,
+        ProgressiveRangeSumStandard(applied.store.get(), log_dims, lo, hi,
+                                    plain));
+    ASSERT_EQ(got_rounds.size(), want_rounds.size());
+    for (size_t r = 0; r < got_rounds.size(); ++r) {
+      EXPECT_EQ(got_rounds[r].estimate, want_rounds[r].estimate);
+    }
+    EXPECT_EQ(got_rounds.back().coefficients_read, overlay.terms);
+    EXPECT_EQ(overlay.calls, overlay.blocks.size());
+  }
+
+  std::vector<std::vector<uint64_t>> points;
+  for (int i = 0; i < 50; ++i) {
+    points.push_back({rng.NextBounded(32), rng.NextBounded(32)});
+  }
+  plain.use_scaling_slots = merged.use_scaling_slots = true;
+  overlay.Reset();
+  ASSERT_OK_AND_ASSIGN(
+      const auto got,
+      BatchPointQueryStandard(live.store.get(), log_dims, points, merged));
+  EXPECT_EQ(overlay.calls, points.size());
+  ASSERT_OK_AND_ASSIGN(
+      const auto want,
+      BatchPointQueryStandard(applied.store.get(), log_dims, points, plain));
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(got[i].value, want[i].value) << "point " << i;
+  }
 }
 
 TEST(QueryTest, ValidatesArguments) {

@@ -127,5 +127,101 @@ TEST(ServingSoakTest, ConcurrentWritersReadersAndMaintenance) {
   std::filesystem::remove_all(dir);
 }
 
+// Consistent cuts under live drains. A writer adds +1 to cell A, waits for
+// the ack, then adds +2 to cell B in another block, over and over, while a
+// worker drains in small batches. A range sum over a box holding both cells
+// reads one snapshot, so it sees a prefix of the acked writes: its total is
+// 3k or 3k + 1, never 3k + 2 (B's +2 without the +1 acked before it).
+// Integer deltas on an all-zero store keep every coefficient a small dyadic
+// rational, so the sums are exact.
+TEST(ServingSoakTest, RangeSumsReadConsistentCutsUnderLiveDrains) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("shiftsplit_serving_cuts_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    WaveletCube::Options options;
+    ASSERT_OK_AND_ASSIGN(
+        auto cube, WaveletCube::CreateOnDisk(dir.string(), {4, 4}, options));
+    ASSERT_OK(cube->Close());
+  }
+  ServingCube::Options options;
+  options.oversubscribe = true;  // real threads even on 1-CPU CI hosts
+  options.num_workers = 1;
+  options.durable_acks = false;  // the ack order is what matters here
+  options.drain_min_deltas = 2;
+  options.max_delta_age = std::chrono::milliseconds(1);
+  ASSERT_OK_AND_ASSIGN(auto serving,
+                       ServingCube::OpenOnDisk(dir.string(), 256, options));
+
+  // A in the low quadrant, B in the high one (different deepest tiles), and
+  // a box around both that starts past the origin, so a sum reads boundary
+  // coefficients from many blocks.
+  Xoshiro256 rng(20261020);
+  const std::vector<uint64_t> cell_a{1 + rng.NextBounded(7),
+                                     1 + rng.NextBounded(7)};
+  const std::vector<uint64_t> cell_b{8 + rng.NextBounded(7),
+                                     8 + rng.NextBounded(7)};
+  std::vector<uint64_t> lo(2), hi(2);
+  for (int d = 0; d < 2; ++d) {
+    lo[d] = 1 + rng.NextBounded(cell_a[d]);
+    hi[d] = cell_b[d] + rng.NextBounded(16 - cell_b[d]);
+  }
+
+  // The writer keeps going until the worker has committed kMinDrains
+  // batches, so the sums overlap many live drains.
+  constexpr int kMinPairs = 400;
+  constexpr uint64_t kMinDrains = 20;
+  constexpr int kReaders = 2;
+  std::atomic<bool> writer_done{false};
+  std::atomic<uint64_t> sums{0};
+  std::atomic<uint64_t> torn{0};
+  std::atomic<uint64_t> failures{0};
+  int pairs = 0;
+  std::thread writer([&] {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (pairs < kMinPairs ||
+           (serving->stats().apply_batches < kMinDrains &&
+            std::chrono::steady_clock::now() < give_up)) {
+      if (!serving->Add(cell_a, 1.0).ok() ||
+          !serving->Add(cell_b, 2.0).ok()) {
+        failures.fetch_add(1);
+      }
+      ++pairs;
+    }
+    writer_done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!writer_done.load()) {
+        const Result<double> sum = serving->RangeSum(lo, hi);
+        if (!sum.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        const auto total = static_cast<int64_t>(*sum);
+        if (static_cast<double>(total) != *sum || total % 3 == 2) {
+          torn.fetch_add(1);
+        }
+        sums.fetch_add(1);
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(torn.load(), 0u) << "of " << sums.load() << " sums";
+  EXPECT_GT(sums.load(), 0u);
+  EXPECT_GE(serving->stats().apply_batches, kMinDrains);
+  ASSERT_OK(serving->DrainAll());
+  ASSERT_OK_AND_ASSIGN(const double total, serving->RangeSum(lo, hi));
+  EXPECT_EQ(total, 3.0 * pairs);
+  ASSERT_OK(serving->Close());
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace shiftsplit

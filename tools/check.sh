@@ -263,6 +263,53 @@ perfbench_build() {
   build-perfbench/perfbench_test
 }
 
+# Run the benchmark once per workload of BENCHMARK.json, with its command, a
+# fixed seed and the declared run length, and require a complete result: the
+# last stdout line must parse as JSON, report `correct: true` and name every
+# end_to_end metric. perfbench leaves a gated metric out when too few samples
+# back it (a knee no window passed, a percentile with too few samples beyond
+# it) and still exits 0, so an incomplete result must fail here, not in a
+# benchmark run. About 75 s per workload on a 4-vCPU machine.
+perfbench_run() {
+  python3 - <<'EOF'
+import json
+import subprocess
+import sys
+
+with open("BENCHMARK.json") as f:
+    spec = json.load(f)
+want = [m["name"] for m in spec["end_to_end"]]
+ok = True
+for workload in (w["name"] for w in spec["workloads"]):
+    print(f"==> perfbench run [{workload}]", flush=True)
+    cmd = spec["command"] + ["--workload", workload, "--seed", "4242",
+                             "--seconds", str(spec["run_seconds"]),
+                             "--trace", "0"]
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+        metrics = result["metrics"]
+    except (IndexError, ValueError, KeyError, TypeError):
+        print(f"{workload}: exit {proc.returncode}, last line is not a "
+              "result JSON", file=sys.stderr)
+        ok = False
+        continue
+    if proc.returncode != 0 or result.get("correct") is not True:
+        print(f"{workload}: exit {proc.returncode}, correct = "
+              f"{result.get('correct')}", file=sys.stderr)
+        ok = False
+    missing = [name for name in want if name not in metrics]
+    if missing:
+        print(f"{workload}: result lacks {', '.join(missing)}",
+              file=sys.stderr)
+        ok = False
+    else:
+        print(f"{workload}: all {len(want)} end_to_end metrics")
+sys.exit(0 if ok else 1)
+EOF
+}
+
 # Test names must not depend on the build: a value-parameterized suite that
 # prints a pointer or padding bytes into its names registers new names in
 # every build, and a test whose name changed looks like a lost one. Two
@@ -302,6 +349,7 @@ done
 stable_test_names
 
 perfbench_build
+perfbench_run
 
 scrub_smoke build
 scrub_smoke build-asan
