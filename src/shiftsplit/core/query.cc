@@ -149,10 +149,12 @@ Status ForEachTerm(TiledStore* store, const StandardTiling* tiling,
 
 // One term as the per-block step read it: the stored coefficient with its
 // pending contributions folded in, or, when its block was skipped, those
-// contributions folded into 0.0 (0.0 without an overlay).
+// contributions folded into 0.0 (0.0 without an overlay) and the block's
+// energy ceiling, read in the same overlay critical section.
 struct TermRead {
   double merged = 0.0;
   bool skipped = false;
+  double ceiling = 0.0;
 };
 
 // The per-block step of every standard-form evaluator. Each distinct block
@@ -207,14 +209,25 @@ Result<std::vector<TermRead>> FetchByBlock(TiledStore* store,
         skipped ? std::span<const double>() : page->span();
     const std::span<const uint64_t> group_slots(&slots[begin], end - begin);
     const std::span<double> group_merged(&merged[begin], end - begin);
-    if (options.overlay != nullptr) {
+    double ceiling = 0.0;
+    const auto read_ceiling = [&] {
+      ceiling = store->BlockEnergyCeiling(block);
+    };
+    if (options.overlay != nullptr && skipped) {
+      options.overlay->FoldSkippedBlock(block, group_slots, group_merged,
+                                        read_ceiling);
+    } else if (options.overlay != nullptr) {
       options.overlay->FoldBlock(block, stored, group_slots, group_merged);
-    } else if (!skipped) {
+    } else if (skipped) {
+      read_ceiling();
+    } else {
       for (size_t k = 0; k < group_slots.size(); ++k) {
         group_merged[k] = stored[group_slots[k]];
       }
     }
-    for (size_t k = begin; k < end; ++k) reads[order[k]] = {merged[k], skipped};
+    for (size_t k = begin; k < end; ++k) {
+      reads[order[k]] = {merged[k], skipped, ceiling};
+    }
   }
   return reads;
 }
@@ -243,8 +256,7 @@ Result<DegradedResult> EvaluateCrossProduct(
       out.value += weight * fetched[t].merged;
       continue;
     }
-    out.error_bound +=
-        std::abs(weight) * store->BlockEnergyCeiling(terms[t].at.block);
+    out.error_bound += std::abs(weight) * fetched[t].ceiling;
     if (options.overlay != nullptr) out.value += weight * fetched[t].merged;
   }
   SS_RETURN_IF_ERROR(CheckErrorBound(out, options, query));

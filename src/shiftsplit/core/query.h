@@ -12,6 +12,7 @@
 #define SHIFTSPLIT_CORE_QUERY_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 
 #include "shiftsplit/tile/tiled_store.h"
@@ -32,7 +33,7 @@ namespace shiftsplit {
 /// are bit-identical to a fully-applied store. Implementations must be safe
 /// to call from the querying thread while writers keep buffering (the
 /// serving DeltaBuffer reads the stored slots and folds them in one critical
-/// section of its lock).
+/// section of the block's stripe lock).
 class CoefficientOverlay {
  public:
   virtual ~CoefficientOverlay() = default;
@@ -43,6 +44,19 @@ class CoefficientOverlay {
   virtual void FoldBlock(uint64_t block, std::span<const double> stored,
                          std::span<const uint64_t> slots,
                          std::span<double> merged) const = 0;
+
+  /// \brief FoldBlock for a block the query skipped (`stored` empty) that
+  /// also runs `paired` in the fold's critical section, so what it reads of
+  /// the block's stored state (the energy ceiling that bounds the skipped
+  /// terms) belongs to the same store state as the folded contributions.
+  /// The default runs `paired`, then FoldBlock.
+  virtual void FoldSkippedBlock(uint64_t block,
+                                std::span<const uint64_t> slots,
+                                std::span<double> merged,
+                                const std::function<void()>& paired) const {
+    paired();
+    FoldBlock(block, {}, slots, merged);
+  }
 };
 
 /// \brief Options shared by the query entry points.

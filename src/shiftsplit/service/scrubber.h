@@ -1,8 +1,8 @@
 // Background scrub-and-repair thread over one ServingCube: walks the
 // device in small batches on a fixed cadence, verifying every block's
 // checksum and rebuilding corrupt ones from group parity in place (via
-// ServingCube::ScrubTick, under the store's exclusive latch), so silent
-// bit rot is found and healed before a query or drain ever trips over it.
+// ServingCube::ScrubTick, with drains and queries excluded), so silent bit
+// rot is found and healed before a query or drain ever trips over it.
 //
 //   Scrubber scrubber(serving.get(), {.interval = 100ms, .batch_blocks = 8});
 //   ...

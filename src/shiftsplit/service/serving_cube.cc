@@ -38,6 +38,19 @@ uint64_t ElapsedUs(std::chrono::steady_clock::time_point start) {
   return us.count() > 0 ? static_cast<uint64_t>(us.count()) : 0;
 }
 
+// Raises `max` to at least `value`.
+void RaiseMax(std::atomic<uint64_t>& max, uint64_t value) {
+  uint64_t prev = max.load(std::memory_order_relaxed);
+  while (value > prev &&
+         !max.compare_exchange_weak(prev, value, std::memory_order_relaxed)) {
+  }
+}
+
+// How long DrainAll waits for writes between taking their seq and
+// publishing their write set (microseconds apart in practice) before it
+// reports that it cannot advance.
+constexpr std::chrono::milliseconds kInFlightWriteWait{100};
+
 // Steady-clock microseconds since the process-wide epoch — the timestamp
 // unit of every health transition in ServingStats.
 uint64_t SteadyNowUs() {
@@ -202,13 +215,32 @@ Status ServingCube::SyncLog(uint64_t seq) {
   return status;
 }
 
+ServingCube::ExclusiveSection::ExclusiveSection(ServingCube* cube)
+    : cube_(cube) {
+  const auto wait_start = std::chrono::steady_clock::now();
+  cube_->drain_mu_.lock();
+  cube_->latch_.lock();
+  cube_->latch_wait_us_.fetch_add(ElapsedUs(wait_start),
+                                  std::memory_order_relaxed);
+  hold_start_ = std::chrono::steady_clock::now();
+}
+
+ServingCube::ExclusiveSection::~ExclusiveSection() {
+  cube_->latch_.unlock();
+  cube_->drain_mu_.unlock();
+  const uint64_t held = ElapsedUs(hold_start_);
+  cube_->latch_hold_us_total_.fetch_add(held, std::memory_order_relaxed);
+  cube_->latch_exclusive_holds_.fetch_add(1, std::memory_order_relaxed);
+  RaiseMax(cube_->latch_hold_us_max_, held);
+}
+
 Status ServingCube::Abandon() {
   StopWorkers();
   Poison(Status::Unavailable("serving cube abandoned for recovery"));
-  // The exclusive latch waits out in-flight queries; any query arriving
-  // after the discard re-checks health under the latch and fails instead of
-  // reading a store whose dirty pages are gone.
-  std::unique_lock<std::shared_mutex> latch(latch_);
+  // The exclusive section waits out a running drain and in-flight queries;
+  // any query arriving after the discard re-checks health under the latch
+  // and fails instead of reading a store whose pages are gone.
+  ExclusiveSection exclusive(this);
   const Status discard = cube_->store()->pool().Discard();
   closed_ = true;  // the destructor must not flush what we just dropped
   return discard;
@@ -335,54 +367,32 @@ Result<DegradedResult> ServingCube::RangeSum(std::span<const uint64_t> lo,
 
 Status ServingCube::DrainOnce() {
   std::lock_guard<std::mutex> drain_lock(drain_mu_);
+  // Abandon poisons before it takes drain_mu_: no batch starts on a store
+  // whose pages it has discarded.
+  SS_RETURN_IF_ERROR(CheckHealthy());
   std::optional<DeltaBuffer::DrainBatch> batch = buffer_->BeginDrain();
   if (!batch.has_value()) return Status::OK();
-  TiledStore* store = cube_->store();
-  // Warm the pool with the batch's block set before taking the latch —
-  // best-effort, a miss is only slower.
-  (void)store->Prefetch(batch->block_ids);
-
-  for (const DeltaBuffer::DrainBlock& block : batch->blocks) {
-    // Apply and retire one block in a single exclusive critical section:
-    // a query latched before us folds the contributions over the old block,
-    // one latched after us reads the new block without them — same bits.
-    const auto wait_start = std::chrono::steady_clock::now();
-    std::unique_lock<std::shared_mutex> latch(latch_);
-    latch_wait_us_.fetch_add(ElapsedUs(wait_start),
-                             std::memory_order_relaxed);
-    const auto hold_start = std::chrono::steady_clock::now();
-    Status status = store->ApplyToBlock(block.block, block.ops);
-    if (status.ok()) buffer_->EraseBlockPrefix(block.block, batch->upto);
-    latch.unlock();
-    const uint64_t held = ElapsedUs(hold_start);
-    latch_hold_us_total_.fetch_add(held, std::memory_order_relaxed);
-    latch_exclusive_holds_.fetch_add(1, std::memory_order_relaxed);
-    uint64_t prev_max = latch_hold_us_max_.load(std::memory_order_relaxed);
-    while (held > prev_max &&
-           !latch_hold_us_max_.compare_exchange_weak(
-               prev_max, held, std::memory_order_relaxed)) {
-    }
-    if (!status.ok()) {
-      // The batch is now part-applied and part-erased; no consistent state
-      // remains to serve from.
-      Poison(status);
-      return status;
-    }
+  // 1-3: stage the batch's present images, apply it privately and journal
+  // it. Nothing in the store or the buffer has changed yet, so a failure
+  // here leaves every contribution buffered for the next drain.
+  Result<std::vector<TiledStore::StagedBlock>> staged =
+      StageAndJournal(*batch);
+  if (!staged.ok()) {
+    buffer_->AbortDrain();
+    Poison(staged.status());
+    return staged.status();
   }
-
-  if (meta_block_ != kNoMetaBlock) {
-    // Stamp the applied watermark; the guard's release marks the block
-    // dirty so the flush below commits batch + watermark atomically.
-    Result<PageGuard> guard =
-        store->PinBlock(meta_block_, /*for_write=*/true);
-    if (!guard.ok()) {
-      Poison(guard.status());
-      return guard.status();
-    }
-    guard->span()[0] = std::bit_cast<double>(batch->upto);
-  }
-  Status status = store->Flush();
+  // 4-5: install block by block, each swap-and-erase one section of the
+  // block's buffer stripe, then sync and retire the journal record. A
+  // failure leaves the batch half installed; the journal record replays it
+  // on reopen, and nothing may flush the store or lift the poison first.
+  const Status status = cube_->store()->InstallStaged(
+      *staged, [this, upto = batch->upto](uint64_t block,
+                                          const std::function<void()>& swap) {
+        buffer_->InstallBlock(block, upto, swap);
+      });
   if (!status.ok()) {
+    batch_in_journal_.store(true, std::memory_order_relaxed);
     Poison(status);
     return status;
   }
@@ -390,6 +400,30 @@ Status ServingCube::DrainOnce() {
   // Retire the log once everything accepted is applied (atomic with the
   // idle check, so a racing Add cannot lose its record).
   return buffer_->TruncateLogIfIdle();
+}
+
+Result<std::vector<TiledStore::StagedBlock>> ServingCube::StageAndJournal(
+    const DeltaBuffer::DrainBatch& batch) {
+  TiledStore* store = cube_->store();
+  std::vector<uint64_t> ids;
+  ids.reserve(batch.blocks.size() + 1);
+  for (const DeltaBuffer::DrainBlock& block : batch.blocks) {
+    ids.push_back(block.block);
+  }
+  // The meta block sits past the layout, so it stays last and ids stay
+  // ascending.
+  if (meta_block_ != kNoMetaBlock) ids.push_back(meta_block_);
+  SS_ASSIGN_OR_RETURN(std::vector<TiledStore::StagedBlock> staged,
+                      store->StageBlocks(ids));
+  for (size_t i = 0; i < batch.blocks.size(); ++i) {
+    SS_RETURN_IF_ERROR(store->ApplyToStaged(staged[i], batch.blocks[i].ops));
+  }
+  if (meta_block_ != kNoMetaBlock) {
+    // The applied watermark rides in the same commit record as the batch.
+    staged.back().image[0] = std::bit_cast<double>(batch.upto);
+  }
+  SS_RETURN_IF_ERROR(store->JournalStaged(staged));
+  return staged;
 }
 
 ServingCube::ScrubTickResult ServingCube::ScrubTick(uint64_t max_blocks) {
@@ -400,12 +434,10 @@ ServingCube::ScrubTickResult ServingCube::ScrubTick(uint64_t max_blocks) {
   BlockManager& device = store->manager();
   std::vector<double> scratch(device.block_size());
   {
-    // Exclusive latch: device reads must not interleave with the pool's own
-    // I/O, and an in-place rebuild must not race a query on the same block.
-    const auto wait_start = std::chrono::steady_clock::now();
-    std::unique_lock<std::shared_mutex> latch(latch_);
-    latch_wait_us_.fetch_add(ElapsedUs(wait_start),
-                             std::memory_order_relaxed);
+    // Exclusive section: an in-place rebuild must race neither a query nor
+    // a drain on the same block, nor a drain's commit on the block's parity
+    // group.
+    ExclusiveSection exclusive(this);
     const uint64_t num_blocks = device.num_blocks();
     if (num_blocks == 0) return result;
     if (scrub_cursor_ >= num_blocks) scrub_cursor_ = 0;
@@ -446,22 +478,18 @@ Result<ScrubReport> ServingCube::RepairNow() {
   const Status poison = CheckHealthy();
   const bool checksum_poisoned =
       !poison.ok() && poison.code() == StatusCode::kChecksumMismatch;
-  if (!poison.ok() && !checksum_poisoned) {
-    return poison;  // not a corruption incident; parity cannot help
+  if (!poison.ok() &&
+      (!checksum_poisoned ||
+       batch_in_journal_.load(std::memory_order_relaxed))) {
+    // Not a corruption incident, or a batch only a reopen's journal replay
+    // completes: parity cannot help.
+    return poison;
   }
   std::lock_guard<std::mutex> scrub_lock(scrub_mu_);
   ScrubReport report;
   {
-    const auto wait_start = std::chrono::steady_clock::now();
-    std::unique_lock<std::shared_mutex> latch(latch_);
-    latch_wait_us_.fetch_add(ElapsedUs(wait_start),
-                             std::memory_order_relaxed);
-    // A poisoned cube skips the pre-scrub flush: its dirty pages hold an
-    // interrupted drain batch whose watermark never committed, and they
-    // may only reach disk in the atomic commit ResumeAfterRepair issues.
-    SS_ASSIGN_OR_RETURN(report,
-                        cube_->store()->ScrubRepair(
-                            /*flush_first=*/!checksum_poisoned));
+    ExclusiveSection exclusive(this);
+    SS_ASSIGN_OR_RETURN(report, cube_->store()->ScrubRepair());
   }
   parity_repairs_.fetch_add(report.repaired.size(),
                             std::memory_order_relaxed);
@@ -472,65 +500,18 @@ Result<ScrubReport> ServingCube::RepairNow() {
     // Every block verified or was rebuilt: the corruption incident is
     // over. Clear the poison only if it is still that incident.
     std::lock_guard<std::mutex> lock(failed_mu_);
-    if (failed_status_.code() == StatusCode::kChecksumMismatch) {
+    if (failed_status_.code() == StatusCode::kChecksumMismatch &&
+        !batch_in_journal_.load(std::memory_order_relaxed)) {
       failed_status_ = Status::OK();
       poisoned_at_us_ = 0;
     }
   }
-  SS_RETURN_IF_ERROR(ResumeAfterRepair());
+  // The drain the checksum failure interrupted failed before its journal
+  // commit, so every contribution is still buffered: drain them the normal
+  // way, each batch committing with its own watermark.
+  SS_RETURN_IF_ERROR(DrainAll());
   MaybeKickWorkers();
   return report;
-}
-
-Status ServingCube::ResumeAfterRepair() {
-  buffer_->AbortDrain();
-  for (;;) {
-    const uint64_t applied = buffer_->applied_seq();
-    if (applied >= buffer_->last_seq()) break;
-    {
-      std::lock_guard<std::mutex> drain_lock(drain_mu_);
-      // `target` is read before the emptiness check: a delta racing in
-      // after the check gets a later sequence number, so the stamped
-      // watermark never covers an unapplied contribution.
-      const uint64_t target = buffer_->last_seq();
-      if (buffer_->pending_slot_entries() == 0) {
-        if (buffer_->applied_seq() >= target) break;
-        // The poison hit at or after the interrupted batch's final block:
-        // every accepted delta is applied to cached pages already. Stamp
-        // the watermark and commit pages + watermark in one atomic flush.
-        if (meta_block_ != kNoMetaBlock) {
-          const auto wait_start = std::chrono::steady_clock::now();
-          std::unique_lock<std::shared_mutex> latch(latch_);
-          latch_wait_us_.fetch_add(ElapsedUs(wait_start),
-                                   std::memory_order_relaxed);
-          Result<PageGuard> guard =
-              cube_->store()->PinBlock(meta_block_, /*for_write=*/true);
-          if (!guard.ok()) {
-            Poison(guard.status());
-            return guard.status();
-          }
-          guard->span()[0] = std::bit_cast<double>(target);
-        }
-        const Status flushed = cube_->store()->Flush();
-        if (!flushed.ok()) {
-          Poison(flushed);
-          return flushed;
-        }
-        buffer_->FinishDrain(target);
-        break;
-      }
-    }
-    // Un-applied contributions remain: drain them the normal way (each
-    // batch commits with its own watermark).
-    SS_RETURN_IF_ERROR(DrainOnce());
-    SS_RETURN_IF_ERROR(CheckHealthy());
-    if (buffer_->applied_seq() == applied) {
-      return Status::Unavailable(
-          "repair resume cannot advance: active snapshots pin the drain "
-          "horizon");
-    }
-  }
-  return buffer_->TruncateLogIfIdle();
 }
 
 Status ServingCube::DrainAll() {
@@ -542,9 +523,14 @@ Status ServingCube::DrainAll() {
     }
     SS_RETURN_IF_ERROR(DrainOnce());
     SS_RETURN_IF_ERROR(CheckHealthy());
-    if (buffer_->applied_seq() == applied_before) {
+    // A write between taking its seq and publishing its write set holds
+    // the horizon back only briefly; an active snapshot may hold it
+    // indefinitely.
+    if (buffer_->applied_seq() == applied_before &&
+        !buffer_->AwaitInFlightWrites(kInFlightWriteWait)) {
       return Status::Unavailable(
-          "drain cannot advance: active snapshots pin the horizon");
+          "drain cannot advance: active snapshots or unpublished writes pin "
+          "the horizon");
     }
   }
 }
@@ -622,6 +608,9 @@ Status ServingCube::Close() {
   closed_ = true;
   Status drain = CheckHealthy();
   if (drain.ok()) drain = DrainAll();
+  // A batch left in the journal replays on reopen; the store's close would
+  // flush, and a flush's commit record replaces the journaled one.
+  if (batch_in_journal_.load(std::memory_order_relaxed)) return drain;
   const Status close = cube_->Close();
   return drain.ok() ? close : drain;
 }

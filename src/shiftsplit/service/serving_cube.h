@@ -1,25 +1,29 @@
 // Concurrent serving front end over a WaveletCube: writers append cell
 // deltas to a journaled in-memory DeltaBuffer, background maintenance
 // workers drain the buffer in batches through the tile-batched SHIFT-SPLIT
-// path under one atomic flush, and queries fold the still-pending deltas
-// into every fetched coefficient — so answers are bit-identical to a store
-// that had applied every accepted delta synchronously, at all times.
+// path, one journaled commit per batch, and queries fold the still-pending
+// deltas into every fetched coefficient — so answers are bit-identical to a
+// store that had applied every accepted delta synchronously, at all times.
 //
 //   auto serving = *ServingCube::OpenOnDisk("/data/cube");
 //   serving->Add({16, 20}, +3.5);                  // acked once durable
 //   double v = *serving->PointQuery({16, 20});     // sees the delta already
 //
 // Consistency protocol (see DESIGN.md §7): a query registers a snapshot at
-// the newest accepted sequence number, then takes the store latch shared;
-// the drain horizon never passes an active snapshot, and a worker erases a
-// block's drained contributions in the same exclusive-latch critical
-// section that applied them — so every query sees each delta exactly once,
-// either from the store or from the buffer, never both or neither.
+// the buffer's published watermark and folds each block in one section of
+// the block's buffer stripe. The drain horizon never passes an active
+// snapshot, and the drain swaps a block's new image into its pool frame and
+// erases the block's drained contributions in one section of the same
+// stripe — so every query sees each delta exactly once, either from the
+// store or from the buffer, never both or neither. No write path holds a
+// lock across work that a read of an unrelated block waits on.
 //
 // Durability: each accepted delta is appended to a sidecar DeltaLog and
-// fsynced (group commit) before Add acknowledges; the store's applied
-// watermark rides in a meta block covered by the same atomic flush as each
-// drain batch. Reopening after a crash replays acknowledged-but-unapplied
+// fsynced (group commit) before Add acknowledges. A drain batch is staged
+// privately and journaled — data, the applied watermark's meta block and
+// parity — before any block changes, then installed block by block and
+// written in place, so a serving pool never holds a dirty frame. Reopening
+// after a crash replays the journal and then acknowledged-but-unapplied
 // deltas back into the buffer (OpenOnDisk). Cubes attached with Attach()
 // serve from memory only — no log, no crash-safety for buffered deltas.
 
@@ -154,11 +158,12 @@ class ServingCube {
 
   /// \brief Synchronously drains until every accepted delta is applied.
   /// Fails as kUnavailable if concurrent queries pin the drain horizon
-  /// indefinitely.
+  /// indefinitely (or a write stays unpublished, as under the buffer's
+  /// test hook).
   Status DrainAll();
 
-  /// \brief One rate-limited scrub batch (the Scrubber's work unit): under
-  /// the exclusive store latch, verifies up to `max_blocks` device blocks
+  /// \brief One rate-limited scrub batch (the Scrubber's work unit): with
+  /// drains and queries excluded, verifies up to `max_blocks` device blocks
   /// starting at the internal cursor by reading them through the serving
   /// path — a corrupt block is rebuilt from parity in place (and its stale
   /// cached frame dropped); an unrepairable one is counted and left for
@@ -172,7 +177,7 @@ class ServingCube {
   };
   ScrubTickResult ScrubTick(uint64_t max_blocks);
 
-  /// \brief Full repair scrub under the exclusive latch (see
+  /// \brief Full repair scrub with drains and queries excluded (see
   /// TiledStore::ScrubRepair): every corrupt block and stale parity stride
   /// is rewritten in place. When everything repaired — the report has no
   /// unrepairable blocks — a cube poisoned by a checksum failure is
@@ -212,7 +217,7 @@ class ServingCube {
   Status poison_status() const;
 
   /// \brief Tears the cube down without flushing: stops workers, waits out
-  /// in-flight queries (exclusive latch), discards every dirty page and
+  /// a running drain and in-flight queries, discards every cached page and
   /// poisons the cube so stragglers fail instead of reading a half-applied
   /// store. The delta log and journal stay on disk exactly as they were —
   /// the supervisor re-opens the directory through the normal recovery
@@ -244,15 +249,15 @@ class ServingCube {
   Status SyncLog(uint64_t seq);
   Status BufferCell(std::span<const uint64_t> coords, double delta,
                     OperationContext* ctx, uint64_t* out_seq);
-  /// One drain batch: plan, apply per block under the exclusive latch,
-  /// stamp the applied watermark, commit atomically. Poisons on failure.
+  /// One drain batch, holding drain_mu_ and never the latch: stage the
+  /// batch's present images, apply it to them privately, journal it, then
+  /// install block by block (TiledStore::InstallStaged), sync and retire
+  /// the journal record. Poisons on failure.
   Status DrainOnce();
-  /// After an in-place repair un-poisoned the cube: abandons the drain the
-  /// poison interrupted and re-commits until the applied watermark
-  /// converges — each step an atomic flush, so the store is never durable
-  /// with applied blocks but a stale watermark (which would double-apply
-  /// their deltas on crash replay).
-  Status ResumeAfterRepair();
+  /// DrainOnce's steps 1-3: the staged images of the batch's blocks plus
+  /// the meta block (stamped with the batch's watermark), journaled.
+  Result<std::vector<TiledStore::StagedBlock>> StageAndJournal(
+      const DeltaBuffer::DrainBatch& batch);
   bool ShouldDrain() const;
   void MaybeKickWorkers();
   void WorkerLoop();
@@ -266,15 +271,30 @@ class ServingCube {
   uint64_t meta_block_ = kNoMetaBlock;  ///< applied-watermark block id
   uint64_t replayed_deltas_ = 0;
 
-  /// Store latch: queries hold it shared for a whole evaluation; a worker
-  /// holds it exclusive per block while applying + erasing that block's
-  /// drained contributions. Writers never take it (they touch only the
-  /// buffer).
+  /// Store latch: queries hold it shared for a whole evaluation; only
+  /// Abandon, ScrubTick and RepairNow take it exclusively, inside an
+  /// ExclusiveSection. Writers and drains never take it: a drain meets a
+  /// query only in a block's buffer stripe.
   mutable std::shared_mutex latch_;
   std::mutex drain_mu_;  ///< serializes whole drain batches
 
+  /// Exclusive section of Abandon, ScrubTick and RepairNow: takes
+  /// drain_mu_ (no drain runs) and then the latch exclusively (no query
+  /// runs), timing the wait and the hold into the latch counters.
+  class ExclusiveSection {
+   public:
+    explicit ExclusiveSection(ServingCube* cube);
+    ~ExclusiveSection();
+    ExclusiveSection(const ExclusiveSection&) = delete;
+    ExclusiveSection& operator=(const ExclusiveSection&) = delete;
+
+   private:
+    ServingCube* cube_;
+    std::chrono::steady_clock::time_point hold_start_;
+  };
+
   // Latch timing (microseconds): waits on either acquisition mode, plus the
-  // exclusive hold per drained block — the read-tail stall budget.
+  // exclusive holds of scrub, repair and abandon.
   mutable std::atomic<uint64_t> latch_wait_us_{0};
   std::atomic<uint64_t> latch_hold_us_total_{0};
   std::atomic<uint64_t> latch_hold_us_max_{0};
@@ -283,6 +303,10 @@ class ServingCube {
   mutable std::mutex failed_mu_;
   Status failed_status_;  ///< OK while healthy; sticky failure otherwise
   uint64_t poisoned_at_us_ = 0;  ///< steady-clock us at Poison()
+  /// Set (before the poison) when a drain fails after its journal record:
+  /// the record, not the pool, then holds the batch. Until a reopen replays
+  /// it, RepairNow may not lift the poison and Close does not flush.
+  std::atomic<bool> batch_in_journal_{false};
 
   // Delta-log backpressure: set while group commits fail, cleared by the
   // next success. Orthogonal to poisoning — reads stay exact throughout.

@@ -76,10 +76,11 @@ enum class CounterMerge {
   /* Read-side merge. */                                                      \
   X(overlay_probes, kSum) /* coefficients checked against the buffer */      \
   X(overlay_hits, kSum) /* probes that folded pending contributions */       \
-  /* Store latch. Queries wait while maintenance holds it exclusively; the */ \
-  /* hold counters bound how long one drain batch can stall the read tail. */ \
+  /* Store latch. Queries take it shared; only scrub, repair and */          \
+  /* abandon take it exclusively (drains never do), so the hold */           \
+  /* counters bound how long one of those stalls the read tail. */           \
   X(latch_wait_us_total, kSum) /* total acquisition wait, all callers */     \
-  X(latch_hold_us_total, kSum) /* total exclusive (maintenance) hold */      \
+  X(latch_hold_us_total, kSum) /* total exclusive hold */                    \
   X(latch_hold_us_max, kMax) /* longest single exclusive hold */             \
   X(latch_exclusive_holds, kSum) /* exclusive critical sections */           \
   /* Delta log. */                                                            \

@@ -45,9 +45,11 @@ struct ScrubReport {
 /// \brief Abstract array of fixed-size blocks of doubles.
 ///
 /// Implementations count every ReadBlock/WriteBlock in stats(). Blocks that
-/// were never written read back as all-zero. Thread-compatible, not
-/// thread-safe: concurrent callers must serialize externally (the BufferPool
-/// does so in its mutex-guarded mode).
+/// were never written read back as all-zero. Safe for concurrent calls on
+/// distinct blocks — the serving drain's staging reads and in-place writes
+/// run beside the buffer pool's miss reads — and for concurrent reads of one
+/// block. Writes to one block, and Resize, must be serialized by the
+/// caller.
 class BlockManager {
  public:
   virtual ~BlockManager() = default;

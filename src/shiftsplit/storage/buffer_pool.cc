@@ -15,6 +15,14 @@ void PageGuard::Release() {
   dirty_ = false;
 }
 
+void PageGuard::ReleaseClean() {
+  if (frame_ == nullptr) return;
+  pool_->UnpinClean(frame_);
+  pool_ = nullptr;
+  frame_ = nullptr;
+  dirty_ = false;
+}
+
 void AdmissionTicket::Release() {
   if (pool_ == nullptr) return;
   pool_->ReleaseAdmission();
@@ -54,6 +62,19 @@ void BufferPool::Unpin(internal::PoolFrame* frame, bool dirty) {
   if (frame->pins == 0) {
     assert(pinned_frames_ > 0);
     --pinned_frames_;
+    if (unpin_waiters_ != 0) unpinned_cv_.notify_all();
+  }
+}
+
+void BufferPool::UnpinClean(internal::PoolFrame* frame) {
+  const auto lock = Lock();
+  assert(frame->pins > 0);
+  frame->dirty = false;
+  --frame->pins;
+  if (frame->pins == 0) {
+    assert(pinned_frames_ > 0);
+    --pinned_frames_;
+    if (unpin_waiters_ != 0) unpinned_cv_.notify_all();
   }
 }
 
@@ -106,6 +127,59 @@ Result<PageGuard> BufferPool::GetBlock(uint64_t block_id, bool for_write,
   lru_.splice(lru_.begin(), lru_, victim);
   frames_[block_id] = victim;
   return Pin(&*victim, for_write);
+}
+
+bool BufferPool::CopyIfResident(uint64_t block_id, std::span<double> out) {
+  const auto lock = Lock();
+  const auto it = frames_.find(block_id);
+  if (it == frames_.end()) return false;
+  const std::vector<double>& data = it->second->data;
+  assert(out.size() == data.size());
+  std::copy(data.begin(), data.end(), out.begin());
+  return true;
+}
+
+Result<PageGuard> BufferPool::PinForInstall(uint64_t block_id,
+                                            std::span<const double> present) {
+  auto lock = Lock();
+  auto victim = lru_.end();
+  for (;;) {
+    const auto it = frames_.find(block_id);
+    if (it != frames_.end()) return Pin(&*it->second, /*for_write=*/false);
+    if (frames_.size() < capacity_) break;
+    victim = FindVictim();
+    if (victim != lru_.end()) break;
+    // Every frame is pinned. The installer holds none of those pins, and
+    // in thread-safe mode each belongs to an operation that releases it
+    // shortly, so wait for one; a single-threaded caller would wait for
+    // itself.
+    if (!thread_safe_) {
+      return Status::ResourceExhausted(
+          "all " + std::to_string(capacity_) +
+          " buffer-pool frames are pinned; cannot install block " +
+          std::to_string(block_id));
+    }
+    ++unpin_waiters_;
+    unpinned_cv_.wait(lock);
+    --unpin_waiters_;
+  }
+  if (victim != lru_.end()) {
+    SS_RETURN_IF_ERROR(WriteBack(*victim));
+    frames_.erase(victim->block_id);
+    ++evictions_;
+    victim->block_id = block_id;
+    victim->dirty = false;
+    victim->pins = 0;
+    std::copy(present.begin(), present.end(), victim->data.begin());
+    lru_.splice(lru_.end(), lru_, victim);  // cold end
+  } else {
+    std::vector<double> data = TakeBuffer();
+    std::copy(present.begin(), present.end(), data.begin());
+    lru_.push_back(internal::PoolFrame{block_id, false, 0, std::move(data)});
+    victim = std::prev(lru_.end());
+  }
+  frames_[block_id] = victim;
+  return Pin(&*victim, /*for_write=*/false);
 }
 
 std::vector<double> BufferPool::TakeBuffer() {
@@ -274,38 +348,22 @@ Status BufferPool::FlushAtomic(Journal* journal) {
             [](const internal::PoolFrame* a, const internal::PoolFrame* b) {
               return a->block_id < b->block_id;
             });
-  std::vector<JournalEntry> entries;
-  entries.reserve(dirty.size());
   std::vector<BlockWrite> writes;
   writes.reserve(dirty.size());
   for (const internal::PoolFrame* frame : dirty) {
-    entries.push_back({frame->block_id, std::span<const double>(frame->data)});
     writes.push_back({frame->block_id, std::span<const double>(frame->data)});
   }
-  // Parity-enabled backends return the absolute post-commit parity images
-  // of every group this batch touches; journaling them after the data
-  // entries keeps parity crash-consistent with its group — replay rewrites
-  // data and parity from the same record, so a crash anywhere in between
-  // can never leave them disagreeing. The images are already staged on the
-  // manager: the write-backs below skip incremental parity work and
-  // Sync() persists the sidecar. Empty on backends without parity.
-  SS_ASSIGN_OR_RETURN(const std::vector<ParityBlockImage> parity,
-                      manager_->PlanParityCommit(writes));
-  for (const ParityBlockImage& image : parity) {
-    entries.push_back({image.block_id, std::span<const double>(image.data)});
-  }
-  // 1. Durable intent: the whole batch (with checksums) hits the journal
-  //    before any block is touched in place.
-  SS_RETURN_IF_ERROR(journal->AppendCommit(entries, manager_->block_size()));
-  // 2. In-place writes + device sync. A failure here leaves the journal in
-  //    place: reopen replays the full batch (idempotent redo).
+  // 1. Durable intent: the whole batch (with checksums and post-commit
+  //    parity) hits the journal before any block is touched in place.
+  SS_RETURN_IF_ERROR(journal->AppendWithParity(*manager_, writes));
+  // 2. In-place writes. A failure here leaves the journal in place: reopen
+  //    replays the full batch (idempotent redo).
   for (internal::PoolFrame* frame : dirty) {
     SS_RETURN_IF_ERROR(WriteBack(*frame));
     ++journaled_write_backs_;
   }
-  SS_RETURN_IF_ERROR(manager_->Sync());
-  // 3. Retire the intent; the commit is complete.
-  return journal->Truncate();
+  // 3. Device sync, then retire the intent; the commit is complete.
+  return journal->Complete(*manager_);
 }
 
 uint64_t BufferPool::InvalidateBlocks(std::span<const uint64_t> block_ids) {

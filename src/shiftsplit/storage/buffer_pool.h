@@ -92,6 +92,10 @@ class PageGuard {
   /// becomes empty. Safe to call on an empty guard.
   void Release();
 
+  /// \brief Unpins the frame and marks it clean: the caller has written
+  /// the frame's image to the device itself. The guard becomes empty.
+  void ReleaseClean();
+
  private:
   friend class BufferPool;
   PageGuard(BufferPool* pool, internal::PoolFrame* frame, bool dirty)
@@ -224,6 +228,27 @@ class BufferPool {
   Status Prefetch(std::span<const uint64_t> block_ids,
                   OperationContext* ctx = nullptr);
 
+  /// \brief Copies `block_id`'s frame into `out` (block_size doubles) if
+  /// the block is resident; returns whether it was. Touches neither recency
+  /// order nor counters.
+  bool CopyIfResident(uint64_t block_id, std::span<double> out);
+
+  /// \brief Pins `block_id`'s frame for a caller that overwrites the frame
+  /// and writes the block in place itself (the serving drain's install). An
+  /// absent block becomes resident from `present`, its current image, at
+  /// the cold end of the LRU with no device read; the victim is chosen and
+  /// written back as on a GetBlock miss. Release with
+  /// PageGuard::ReleaseClean once the device holds the frame's image.
+  ///
+  /// When every frame is pinned, a thread-safe pool waits for one to be
+  /// released (the installer must hold no pin of its own); a
+  /// single-threaded one fails.
+  ///
+  /// Errors: ResourceExhausted when every frame is pinned (single-threaded
+  /// pools only); a failed victim write-back.
+  Result<PageGuard> PinForInstall(uint64_t block_id,
+                                  std::span<const double> present);
+
   /// \brief Caps the number of operations concurrently driving the pool.
   ///
   /// When `max_concurrent` > 0, AdmitOperation grants at most that many
@@ -265,7 +290,10 @@ class BufferPool {
   /// dirty frames evicted *between* commits are written back unjournaled
   /// (tracked by journaled_write_backs() vs write_backs) — size the pool to
   /// hold each commit's dirty working set (no-steal), as the tests and
-  /// benches do.
+  /// benches do. The serving drain does not come here: it journals each
+  /// batch before any block changes and installs the blocks itself
+  /// (TiledStore::JournalStaged / InstallStaged), so a serving pool never
+  /// holds a dirty frame and no-steal holds by construction.
   Status FlushAtomic(Journal* journal);
 
   /// \brief Drops the clean, unpinned frames among `block_ids` so their
@@ -333,6 +361,8 @@ class BufferPool {
   PageGuard Pin(internal::PoolFrame* frame, bool for_write);
   // PageGuard::Release calls this: applies `dirty`, drops one pin.
   void Unpin(internal::PoolFrame* frame, bool dirty);
+  // PageGuard::ReleaseClean calls this: clears the dirty bit, drops one pin.
+  void UnpinClean(internal::PoolFrame* frame);
 
   // Least-recently-used unpinned frame, or lru_.end() if all are pinned.
   FrameList::iterator FindVictim();
@@ -361,6 +391,9 @@ class BufferPool {
   uint64_t journaled_write_backs_ = 0;
   uint64_t prefetched_ = 0;
   uint64_t pinned_frames_ = 0;
+  // PinForInstall callers waiting for a frame's last pin to drop.
+  uint64_t unpin_waiters_ = 0;
+  std::condition_variable unpinned_cv_;
   IoStats io_;  // block reads/writes issued by this pool
   // Admission control (separate mutex, acquired strictly before mu_ and
   // never while holding it — tickets are taken before pool operations).

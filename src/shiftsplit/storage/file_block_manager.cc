@@ -93,16 +93,15 @@ FileBlockManager::FileBlockManager(std::string path, int fd, int parity_fd,
                          std::max<uint32_t>(options.retry_backoff_us,
                                             100'000u),
                          0.5}),
-      jitter_state_(0x5353424du ^ block_size) {  // "SSBM" ^ geometry
-  if (checksums_) {
-    scratch_.resize(stride());
-    write_scratch_.resize(stride());
-  }
-}
+      jitter_state_(0x5353424du ^ block_size) {}  // "SSBM" ^ geometry
 
 void FileBlockManager::BackoffRetry(uint32_t attempt) {
-  ++durability_.io_retries;
-  const uint64_t delay_us = BackoffDelayUs(retry_, attempt, &jitter_state_);
+  io_retries_.fetch_add(1, std::memory_order_relaxed);
+  uint64_t delay_us = 0;
+  {
+    std::lock_guard<std::mutex> lock(retry_mu_);
+    delay_us = BackoffDelayUs(retry_, attempt, &jitter_state_);
+  }
   if (delay_us > 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
   }
@@ -269,16 +268,36 @@ Status FileBlockManager::WriteRawFd(int fd, uint64_t offset, const char* src,
 Status FileBlockManager::WritePayloadImage(int fd, uint64_t index,
                                            const char* payload) {
   const uint64_t payload_bytes = block_size_ * sizeof(double);
-  std::memcpy(write_scratch_.data(), payload, payload_bytes);
+  std::vector<char> image(stride());
+  std::memcpy(image.data(), payload, payload_bytes);
   BlockFooter footer;
   footer.magic = kFooterMagic;
-  footer.crc = Crc32c(write_scratch_.data(), payload_bytes);
+  footer.crc = Crc32c(image.data(), payload_bytes);
   footer.epoch = epoch_;
-  std::memcpy(write_scratch_.data() + payload_bytes, &footer, kFooterBytes);
-  return WriteRawFd(fd, index * stride(), write_scratch_.data(), stride());
+  std::memcpy(image.data() + payload_bytes, &footer, kFooterBytes);
+  return WriteRawFd(fd, index * stride(), image.data(), stride());
 }
 
-Status FileBlockManager::ParityPayload(uint64_t group, char* out) {
+void FileBlockManager::QuarantineLocked(uint64_t id) {
+  quarantined_.insert(id);
+  quarantined_count_.store(quarantined_.size(), std::memory_order_relaxed);
+}
+
+void FileBlockManager::ClearQuarantineLocked(uint64_t id) {
+  if (quarantined_.erase(id) != 0) {
+    quarantined_count_.store(quarantined_.size(), std::memory_order_relaxed);
+  }
+}
+
+void FileBlockManager::ClearQuarantine(uint64_t id) {
+  // Only a call on this very block could quarantine it concurrently, which
+  // the distinct-blocks contract rules out.
+  if (quarantined_count_.load(std::memory_order_relaxed) == 0) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  ClearQuarantineLocked(id);
+}
+
+Status FileBlockManager::ParityPayloadLocked(uint64_t group, char* out) {
   const uint64_t payload_bytes = block_size_ * sizeof(double);
   const auto it = parity_dirty_.find(group);
   if (it != parity_dirty_.end()) {
@@ -298,9 +317,9 @@ Status FileBlockManager::ParityPayload(uint64_t group, char* out) {
   return Status::OK();
 }
 
-Status FileBlockManager::ReconstructPayload(uint64_t id,
-                                            const char* corrupt_raw,
-                                            char* out) {
+Status FileBlockManager::ReconstructPayloadLocked(uint64_t id,
+                                                  const char* corrupt_raw,
+                                                  char* out) {
   if (parity_group_ == 0) {
     return Status::ChecksumMismatch("block " + std::to_string(id) +
                                     " is corrupt and the store has no "
@@ -308,8 +327,17 @@ Status FileBlockManager::ReconstructPayload(uint64_t id,
   }
   const uint64_t payload_bytes = block_size_ * sizeof(double);
   const uint64_t group = id / parity_group_;
+  if (parity_planned_.contains(group)) {
+    // The staged parity is the post-commit image, while the commit's
+    // in-place writes may be half done: it matches neither the old nor the
+    // new sibling payloads. The block heals once the commit lands.
+    return Status::ChecksumMismatch(
+        "block " + std::to_string(id) + " is corrupt and parity group " +
+        std::to_string(group) + " of " + path_ +
+        " is mid-commit; it can be rebuilt once the commit lands");
+  }
   std::vector<char> acc(payload_bytes);
-  SS_RETURN_IF_ERROR(ParityPayload(group, acc.data()));
+  SS_RETURN_IF_ERROR(ParityPayloadLocked(group, acc.data()));
   const uint64_t lo = group * parity_group_;
   const uint64_t hi = std::min(num_blocks_, lo + parity_group_);
   std::vector<char> sibling(stride());
@@ -343,11 +371,13 @@ Status FileBlockManager::ReconstructPayload(uint64_t id,
   return Status::OK();
 }
 
-Status FileBlockManager::RepairBlock(uint64_t id, const char* corrupt_raw,
-                                     std::span<double> out) {
+Status FileBlockManager::RepairBlockLocked(uint64_t id,
+                                           const char* corrupt_raw,
+                                           std::span<double> out) {
   const uint64_t payload_bytes = block_size_ * sizeof(double);
   std::vector<char> payload(payload_bytes);
-  const Status rebuilt = ReconstructPayload(id, corrupt_raw, payload.data());
+  const Status rebuilt =
+      ReconstructPayloadLocked(id, corrupt_raw, payload.data());
   if (!rebuilt.ok()) {
     ++durability_.unrepairable_blocks;
     return rebuilt;
@@ -355,7 +385,7 @@ Status FileBlockManager::RepairBlock(uint64_t id, const char* corrupt_raw,
   // Rewrite in place. Parity stays untouched: it already agrees with the
   // reconstructed payload (that is where it came from).
   SS_RETURN_IF_ERROR(WritePayloadImage(fd_, id, payload.data()));
-  quarantined_.erase(id);
+  ClearQuarantineLocked(id);
   ++durability_.repaired_blocks;
   std::memcpy(out.data(), payload.data(), payload_bytes);
   return Status::OK();
@@ -365,16 +395,19 @@ Status FileBlockManager::VerifyInto(uint64_t id, const char* raw,
                                     std::span<double> out, VerifyMode mode) {
   const uint64_t payload_bytes = block_size_ * sizeof(double);
   if (StrideValid(raw, payload_bytes, epoch_)) {
-    quarantined_.erase(id);
+    ClearQuarantine(id);
     std::memcpy(out.data(), raw, payload_bytes);
     return Status::OK();
   }
+  // Failure path: repairs serialize on mu_, so one rebuild reads a parity
+  // group no other repair is rewriting.
+  std::lock_guard<std::mutex> lock(mu_);
   ++durability_.checksum_failures;
   if (mode == VerifyMode::kServe && parity_group_ > 0 &&
-      RepairBlock(id, raw, out).ok()) {
+      RepairBlockLocked(id, raw, out).ok()) {
     return Status::OK();  // healed inline; the caller sees a clean read
   }
-  quarantined_.insert(id);
+  QuarantineLocked(id);
   if (mode == VerifyMode::kServe && degraded_reads_) {
     ++durability_.zero_filled_reads;
     std::fill(out.begin(), out.end(), 0.0);
@@ -397,7 +430,8 @@ Status FileBlockManager::ReadBlock(uint64_t id, std::span<double> out) {
     if (group >= NumParityBlocks()) {
       return Status::OutOfRange("parity group beyond device size");
     }
-    return ParityPayload(group, reinterpret_cast<char*>(out.data()));
+    std::lock_guard<std::mutex> lock(mu_);
+    return ParityPayloadLocked(group, reinterpret_cast<char*>(out.data()));
   }
   if (id >= num_blocks_) {
     return Status::OutOfRange("block id beyond device size");
@@ -407,8 +441,9 @@ Status FileBlockManager::ReadBlock(uint64_t id, std::span<double> out) {
     return ReadRaw(id * stride(), reinterpret_cast<char*>(out.data()),
                    block_size_ * sizeof(double));
   }
-  SS_RETURN_IF_ERROR(ReadRaw(id * stride(), scratch_.data(), stride()));
-  return VerifyInto(id, scratch_.data(), out, VerifyMode::kServe);
+  std::vector<char> raw(stride());
+  SS_RETURN_IF_ERROR(ReadRaw(id * stride(), raw.data(), stride()));
+  return VerifyInto(id, raw.data(), out, VerifyMode::kServe);
 }
 
 Status FileBlockManager::ReadBlocks(std::span<const uint64_t> ids,
@@ -498,13 +533,14 @@ Status FileBlockManager::ReadBlocks(std::span<const uint64_t> ids,
   return Status::OK();
 }
 
-Status FileBlockManager::XorOldNew(uint64_t id, const char* new_payload,
-                                   char* group_image) {
+Status FileBlockManager::XorOldNewLocked(uint64_t id, const char* new_payload,
+                                         char* group_image) {
   const uint64_t payload_bytes = block_size_ * sizeof(double);
-  SS_RETURN_IF_ERROR(ReadRaw(id * stride(), write_scratch_.data(), stride()));
-  const char* old_payload = write_scratch_.data();
+  std::vector<char> old_raw(stride());
+  SS_RETURN_IF_ERROR(ReadRaw(id * stride(), old_raw.data(), stride()));
+  const char* old_payload = old_raw.data();
   std::vector<char> rebuilt;
-  if (!StrideValid(write_scratch_.data(), payload_bytes, epoch_)) {
+  if (!StrideValid(old_raw.data(), payload_bytes, epoch_)) {
     // Folding a corrupt old payload into parity would poison the whole
     // group's reconstruction chain. Rebuild the true old payload from
     // parity first — the overwrite about to happen heals the block; a
@@ -512,10 +548,10 @@ Status FileBlockManager::XorOldNew(uint64_t id, const char* new_payload,
     ++durability_.checksum_failures;
     rebuilt.resize(payload_bytes);
     const Status rec =
-        ReconstructPayload(id, write_scratch_.data(), rebuilt.data());
+        ReconstructPayloadLocked(id, old_raw.data(), rebuilt.data());
     if (!rec.ok()) {
       ++durability_.unrepairable_blocks;
-      quarantined_.insert(id);
+      QuarantineLocked(id);
       return rec;
     }
     ++durability_.repaired_blocks;
@@ -542,6 +578,7 @@ Status FileBlockManager::WriteBlock(uint64_t id, std::span<const double> data) {
     if (group >= NumParityBlocks()) {
       return Status::OutOfRange("parity group beyond device size");
     }
+    std::lock_guard<std::mutex> lock(mu_);
     SS_RETURN_IF_ERROR(WritePayloadImage(
         parity_fd_, group, reinterpret_cast<const char*>(data.data())));
     ++durability_.parity_writes;
@@ -558,30 +595,27 @@ Status FileBlockManager::WriteBlock(uint64_t id, std::span<const double> data) {
                     reinterpret_cast<const char*>(data.data()),
                     payload_bytes);
   }
-  if (parity_group_ > 0 && !parity_replay_ &&
-      !parity_planned_.contains(id / parity_group_)) {
-    // Incremental maintenance: parity' = parity ⊕ old ⊕ new, staged in
-    // memory and persisted by Sync(). Planned groups already carry their
-    // absolute post-commit image (PlanParityCommit); replay writes parity
-    // absolutely from the journal record.
+  if (parity_group_ > 0) {
+    std::lock_guard<std::mutex> lock(mu_);
     const uint64_t group = id / parity_group_;
-    auto it = parity_dirty_.find(group);
-    if (it == parity_dirty_.end()) {
-      std::vector<char> image(payload_bytes);
-      SS_RETURN_IF_ERROR(ParityPayload(group, image.data()));
-      it = parity_dirty_.emplace(group, std::move(image)).first;
+    if (!parity_replay_ && !parity_planned_.contains(group)) {
+      // Incremental maintenance: parity' = parity ⊕ old ⊕ new, staged in
+      // memory and persisted by Sync(). Planned groups already carry their
+      // absolute post-commit image (PlanParityCommit); replay writes parity
+      // absolutely from the journal record.
+      auto it = parity_dirty_.find(group);
+      if (it == parity_dirty_.end()) {
+        std::vector<char> image(payload_bytes);
+        SS_RETURN_IF_ERROR(ParityPayloadLocked(group, image.data()));
+        it = parity_dirty_.emplace(group, std::move(image)).first;
+      }
+      SS_RETURN_IF_ERROR(XorOldNewLocked(
+          id, reinterpret_cast<const char*>(data.data()), it->second.data()));
     }
-    SS_RETURN_IF_ERROR(XorOldNew(
-        id, reinterpret_cast<const char*>(data.data()), it->second.data()));
   }
-  std::memcpy(scratch_.data(), data.data(), payload_bytes);
-  BlockFooter footer;
-  footer.magic = kFooterMagic;
-  footer.crc = Crc32c(scratch_.data(), payload_bytes);
-  footer.epoch = epoch_;
-  std::memcpy(scratch_.data() + payload_bytes, &footer, kFooterBytes);
-  SS_RETURN_IF_ERROR(WriteRaw(id * stride(), scratch_.data(), stride()));
-  quarantined_.erase(id);  // a rewrite heals a quarantined block
+  SS_RETURN_IF_ERROR(WritePayloadImage(
+      fd_, id, reinterpret_cast<const char*>(data.data())));
+  ClearQuarantine(id);  // a rewrite heals a quarantined block
   return Status::OK();
 }
 
@@ -590,6 +624,7 @@ Result<std::vector<ParityBlockImage>> FileBlockManager::PlanParityCommit(
   std::vector<ParityBlockImage> plan;
   if (parity_group_ == 0) return plan;
   const uint64_t payload_bytes = block_size_ * sizeof(double);
+  std::lock_guard<std::mutex> lock(mu_);
   // Fold every write's old ⊕ new into its group image, starting from the
   // effective (staged-or-on-disk) parity — the device is untouched, so
   // reconstruction of corrupt old payloads still sees a consistent chain.
@@ -606,13 +641,13 @@ Result<std::vector<ParityBlockImage>> FileBlockManager::PlanParityCommit(
     auto it = images.find(group);
     if (it == images.end()) {
       std::vector<char> image(payload_bytes);
-      SS_RETURN_IF_ERROR(ParityPayload(group, image.data()));
+      SS_RETURN_IF_ERROR(ParityPayloadLocked(group, image.data()));
       it = images.emplace(group, std::move(image)).first;
     }
     SS_RETURN_IF_ERROR(
-        XorOldNew(write.block_id,
-                  reinterpret_cast<const char*>(write.data.data()),
-                  it->second.data()));
+        XorOldNewLocked(write.block_id,
+                        reinterpret_cast<const char*>(write.data.data()),
+                        it->second.data()));
   }
   // Stage: the images become the pending parity of their groups, the
   // write-backs of exactly this batch skip incremental work, and the next
@@ -629,7 +664,7 @@ Result<std::vector<ParityBlockImage>> FileBlockManager::PlanParityCommit(
   return plan;
 }
 
-Status FileBlockManager::FlushParityDirty() {
+Status FileBlockManager::FlushParityDirtyLocked() {
   for (const auto& [group, image] : parity_dirty_) {
     SS_RETURN_IF_ERROR(WritePayloadImage(parity_fd_, group, image.data()));
     ++durability_.parity_writes;
@@ -641,7 +676,10 @@ Status FileBlockManager::FlushParityDirty() {
 
 Status FileBlockManager::Sync() {
   if (parity_fd_ >= 0) {
-    SS_RETURN_IF_ERROR(FlushParityDirty());
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      SS_RETURN_IF_ERROR(FlushParityDirtyLocked());
+    }
     if (::fsync(parity_fd_) != 0) {
       return Status::IOError(Errno("fsync " + path_ + ".parity"));
     }
@@ -656,13 +694,14 @@ Result<std::vector<uint64_t>> FileBlockManager::Scrub() {
   std::vector<uint64_t> corrupt;
   if (!checksums_) return corrupt;
   std::vector<double> payload(block_size_);
+  std::vector<char> raw(stride());
   for (uint64_t id = 0; id < num_blocks_; ++id) {
-    SS_RETURN_IF_ERROR(ReadRaw(id * stride(), scratch_.data(), stride()));
+    SS_RETURN_IF_ERROR(ReadRaw(id * stride(), raw.data(), stride()));
     ++stats_.block_reads;
     // Report mode: scrubbing reports, it never masks (degraded zero-fill)
     // and never mutates the store (no inline repair).
     const Status verified =
-        VerifyInto(id, scratch_.data(), payload, VerifyMode::kReport);
+        VerifyInto(id, raw.data(), payload, VerifyMode::kReport);
     if (!verified.ok()) {
       if (verified.code() != StatusCode::kChecksumMismatch) return verified;
       corrupt.push_back(id);
@@ -676,6 +715,7 @@ Result<ScrubReport> FileBlockManager::ScrubRepair() {
   if (!checksums_) return report;
   const uint64_t payload_bytes = block_size_ * sizeof(double);
   std::vector<double> payload(block_size_);
+  std::vector<char> raw(stride());
   std::vector<char> group_xor(parity_group_ > 0 ? payload_bytes : 0);
   bool group_intact = true;
   bool wrote = false;
@@ -684,10 +724,11 @@ Result<ScrubReport> FileBlockManager::ScrubRepair() {
       std::fill(group_xor.begin(), group_xor.end(), 0);
       group_intact = true;
     }
-    SS_RETURN_IF_ERROR(ReadRaw(id * stride(), scratch_.data(), stride()));
+    SS_RETURN_IF_ERROR(ReadRaw(id * stride(), raw.data(), stride()));
     ++stats_.block_reads;
     const Status verified =
-        VerifyInto(id, scratch_.data(), payload, VerifyMode::kReport);
+        VerifyInto(id, raw.data(), payload, VerifyMode::kReport);
+    std::unique_lock<std::mutex> lock(mu_);
     if (verified.ok()) {
       if (parity_group_ > 0) {
         XorBytes(group_xor.data(),
@@ -697,7 +738,7 @@ Result<ScrubReport> FileBlockManager::ScrubRepair() {
     } else if (verified.code() != StatusCode::kChecksumMismatch) {
       return verified;
     } else if (parity_group_ > 0 &&
-               RepairBlock(id, scratch_.data(), payload).ok()) {
+               RepairBlockLocked(id, raw.data(), payload).ok()) {
       report.repaired.push_back(id);
       wrote = true;
       XorBytes(group_xor.data(),
@@ -715,7 +756,7 @@ Result<ScrubReport> FileBlockManager::ScrubRepair() {
       // how a freshly upgraded store builds its sidecar from scratch).
       const uint64_t group = id / parity_group_;
       std::vector<char> effective(payload_bytes);
-      const Status stored = ParityPayload(group, effective.data());
+      const Status stored = ParityPayloadLocked(group, effective.data());
       if (!stored.ok() &&
           stored.code() != StatusCode::kChecksumMismatch) {
         return stored;
@@ -737,10 +778,29 @@ Result<ScrubReport> FileBlockManager::ScrubRepair() {
   return report;
 }
 
+void FileBlockManager::BeginParityReplay() {
+  std::lock_guard<std::mutex> lock(mu_);
+  parity_replay_ = true;
+  parity_dirty_.clear();
+  parity_planned_.clear();
+}
+
+void FileBlockManager::EndParityReplay() {
+  std::lock_guard<std::mutex> lock(mu_);
+  parity_replay_ = false;
+}
+
 DurabilityStats FileBlockManager::durability_stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
   DurabilityStats stats = durability_;
   stats.quarantined_blocks = quarantined_.size();
+  stats.io_retries = io_retries_.load(std::memory_order_relaxed);
   return stats;
+}
+
+std::vector<uint64_t> FileBlockManager::quarantined() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::vector<uint64_t>(quarantined_.begin(), quarantined_.end());
 }
 
 }  // namespace shiftsplit

@@ -28,8 +28,10 @@
 #ifndef SHIFTSPLIT_STORAGE_FILE_BLOCK_MANAGER_H_
 #define SHIFTSPLIT_STORAGE_FILE_BLOCK_MANAGER_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -39,6 +41,12 @@
 namespace shiftsplit {
 
 /// \brief Block device stored in a single flat file.
+///
+/// Safe for concurrent calls on distinct blocks (see BlockManager): the
+/// data path stages through per-call buffers, and an internal lock guards
+/// the shared bookkeeping — the quarantine set, the durability counters,
+/// parity staging and retry jitter. A verified read and a write to a store
+/// without parity never take it.
 class FileBlockManager : public BlockManager {
  public:
   struct Options {
@@ -148,12 +156,8 @@ class FileBlockManager : public BlockManager {
   /// while a journal replay rewrites data and parity absolutely. Entering
   /// the bracket drops any staged parity state (the replayed record
   /// supersedes it).
-  void BeginParityReplay() override {
-    parity_replay_ = true;
-    parity_dirty_.clear();
-    parity_planned_.clear();
-  }
-  void EndParityReplay() override { parity_replay_ = false; }
+  void BeginParityReplay() override;
+  void EndParityReplay() override;
 
   void set_degraded_reads(bool on) override { degraded_reads_ = on; }
   bool degraded_reads() const { return degraded_reads_; }
@@ -162,9 +166,7 @@ class FileBlockManager : public BlockManager {
 
   /// \brief Blocks currently quarantined (failed verification and not
   /// rewritten since), ascending.
-  std::vector<uint64_t> quarantined() const {
-    return std::vector<uint64_t>(quarantined_.begin(), quarantined_.end());
-  }
+  std::vector<uint64_t> quarantined() const;
 
   bool checksums() const { return checksums_; }
   const std::string& path() const { return path_; }
@@ -197,37 +199,50 @@ class FileBlockManager : public BlockManager {
   Status WriteRaw(uint64_t offset, const char* src, uint64_t bytes) {
     return WriteRawFd(fd_, offset, src, bytes);
   }
-  // Counts one transient retry in durability_.io_retries and sleeps the
-  // jittered backoff for 0-based `attempt` (BackoffDelayUs on retry_).
+  // Counts one transient retry in io_retries_ and sleeps the jittered
+  // backoff for 0-based `attempt` (BackoffDelayUs on retry_). Takes only
+  // retry_mu_, so it runs with or without mu_ held.
   void BackoffRetry(uint32_t attempt);
   // Verifies one block image (payload + footer at `raw`); on failure the
   // serve mode tries a parity repair, then quarantines + zero-fills
   // (degraded) or returns ChecksumMismatch. `out` receives block_size_
-  // doubles.
+  // doubles. Takes mu_ only when the image fails verification (or a
+  // quarantine is to be cleared).
   Status VerifyInto(uint64_t id, const char* raw, std::span<double> out,
                     VerifyMode mode);
+  // Drops `id` from the quarantine; skips mu_ while nothing is quarantined.
+  void ClearQuarantine(uint64_t id);
+
+  // The *Locked helpers require mu_.
+  void QuarantineLocked(uint64_t id);
+  void ClearQuarantineLocked(uint64_t id);
   // Effective parity payload of `group` (payload bytes): the staged image
   // when one is pending, the verified sidecar stride otherwise.
-  Status ParityPayload(uint64_t group, char* out);
+  Status ParityPayloadLocked(uint64_t group, char* out);
   // Rebuilds block `id`'s payload as parity ⊕ verified siblings, validating
   // the candidate against the stored footer when that is structurally
   // intact. `corrupt_raw` is the stride that failed verification; `out`
-  // receives payload bytes. Fails with ChecksumMismatch on a double fault.
-  Status ReconstructPayload(uint64_t id, const char* corrupt_raw, char* out);
-  // ReconstructPayload + in-place rewrite (fresh footer, quarantine
+  // receives payload bytes. Fails with ChecksumMismatch on a double fault,
+  // and while the group's parity is planned for a commit whose writes may
+  // be half on disk (its staged parity then matches neither side).
+  Status ReconstructPayloadLocked(uint64_t id, const char* corrupt_raw,
+                                  char* out);
+  // ReconstructPayloadLocked + in-place rewrite (fresh footer, quarantine
   // cleared, repaired/unrepairable counted). Parity is left untouched: it
   // already agrees with the reconstructed payload.
-  Status RepairBlock(uint64_t id, const char* corrupt_raw,
-                     std::span<double> out);
-  // Writes one payload + freshly computed footer at `index` strides into
-  // `fd` (a data block or a parity stride). No counters.
-  Status WritePayloadImage(int fd, uint64_t index, const char* payload);
+  Status RepairBlockLocked(uint64_t id, const char* corrupt_raw,
+                           std::span<double> out);
   // Incremental parity maintenance for one data write: folds old ⊕ new
   // into `group_image` (reconstructing a corrupt old payload from parity
   // first; double fault fails the write).
-  Status XorOldNew(uint64_t id, const char* new_payload, char* group_image);
+  Status XorOldNewLocked(uint64_t id, const char* new_payload,
+                         char* group_image);
   // Writes every staged parity image to the sidecar (Sync's first half).
-  Status FlushParityDirty();
+  Status FlushParityDirtyLocked();
+
+  // Writes one payload + freshly computed footer at `index` strides into
+  // `fd` (a data block or a parity stride). No counters, no lock.
+  Status WritePayloadImage(int fd, uint64_t index, const char* payload);
 
   std::string path_;
   int fd_;
@@ -236,20 +251,25 @@ class FileBlockManager : public BlockManager {
   uint64_t num_blocks_;
   bool checksums_;
   uint64_t epoch_;
-  bool degraded_reads_;
+  std::atomic<bool> degraded_reads_;
   uint64_t parity_group_;  // 0 = parity off
   RetryPolicy retry_;      // transient short-I/O retry (EAGAIN, zero writes)
+  std::atomic<uint64_t> io_retries_{0};
+  std::mutex retry_mu_;    // guards jitter_state_
   uint64_t jitter_state_;  // backoff jitter stream (deterministically seeded)
-  DurabilityStats durability_;
+
+  // Bookkeeping shared by concurrent callers (see the class comment).
+  mutable std::mutex mu_;
+  DurabilityStats durability_;  // io_retries lives in io_retries_
   std::set<uint64_t> quarantined_;
-  std::vector<char> scratch_;  // one-block staging (read verify, write image)
+  // quarantined_.size(), readable without mu_ by the verified-read path.
+  std::atomic<uint64_t> quarantined_count_{0};
   // Staged parity images (group → payload bytes), persisted by Sync().
   std::map<uint64_t, std::vector<char>> parity_dirty_;
   // Groups whose staged image is an absolute post-commit plan
   // (PlanParityCommit): their data write-backs skip incremental updates.
   std::set<uint64_t> parity_planned_;
   bool parity_replay_ = false;  // journal replay writes parity absolutely
-  std::vector<char> write_scratch_;  // old-payload / repair-image staging
 };
 
 }  // namespace shiftsplit

@@ -162,6 +162,34 @@ Status Journal::Truncate() {
   return SyncParentDir();
 }
 
+Status Journal::AppendWithParity(BlockManager& device,
+                                 std::span<const BlockWrite> writes) {
+  // Parity-enabled backends return the absolute post-commit parity images
+  // of every group the writes touch; journaling them after the data entries
+  // keeps parity crash-consistent with its group — replay rewrites data and
+  // parity from the same record, so a crash anywhere in between can never
+  // leave them disagreeing. The images are already staged on the device:
+  // the in-place writes of exactly these blocks skip incremental parity
+  // work and Complete's Sync persists the sidecar. Empty on backends
+  // without parity.
+  SS_ASSIGN_OR_RETURN(const std::vector<ParityBlockImage> parity,
+                      device.PlanParityCommit(writes));
+  std::vector<JournalEntry> entries;
+  entries.reserve(writes.size() + parity.size());
+  for (const BlockWrite& write : writes) {
+    entries.push_back({write.block_id, write.data});
+  }
+  for (const ParityBlockImage& image : parity) {
+    entries.push_back({image.block_id, image.data});
+  }
+  return AppendCommit(entries, device.block_size());
+}
+
+Status Journal::Complete(BlockManager& device) {
+  SS_RETURN_IF_ERROR(device.Sync());
+  return Truncate();
+}
+
 Result<Journal::RecoveryResult> Journal::Recover(BlockManager* device) {
   RecoveryResult result;
   const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);

@@ -1,11 +1,14 @@
 // Intent journal: the redo log that makes multi-block flushes atomic.
 //
-// Commit protocol (BufferPool::FlushAtomic):
-//   1. AppendCommit — the full dirty block set (ids + payload images +
-//      CRC32Cs) is written to the sidecar journal file as one commit record
+// Commit protocol (BufferPool::FlushAtomic, and the serving drain's
+// TiledStore::JournalStaged / InstallStaged):
+//   1. AppendWithParity — the full block set (ids + payload images +
+//      CRC32Cs), followed by the post-commit parity of every group it
+//      touches, is written to the sidecar journal file as one commit record
 //      and fsynced. From this point the commit is durable.
-//   2. The blocks are written in place and the device is fsynced.
-//   3. Truncate — the journal is removed; the commit is complete.
+//   2. The blocks are written in place and, by Complete, the device is
+//      fsynced.
+//   3. Complete truncates — the journal is removed; the commit is complete.
 //
 // Recovery (TiledStore::Open → Recover): a journal holding a complete,
 // checksum-valid commit record is replayed into the device (idempotent
@@ -58,6 +61,16 @@ class Journal {
   /// \brief Removes the journal once the in-place writes are durable,
   /// completing the commit. Idempotent.
   Status Truncate();
+
+  /// \brief Step 1 of a commit of `writes` to `device`: plans the parity
+  /// of every group the writes touch (PlanParityCommit), then appends data
+  /// and parity images as one durable record (AppendCommit).
+  Status AppendWithParity(BlockManager& device,
+                          std::span<const BlockWrite> writes);
+
+  /// \brief Step 3, once every block of the record is written in place:
+  /// syncs `device` (data and staged parity), then truncates the journal.
+  Status Complete(BlockManager& device);
 
   struct RecoveryResult {
     bool replayed = false;     ///< a complete commit record was redone

@@ -154,7 +154,19 @@ Status TiledStore::ApplyToBlock(uint64_t block,
   SS_RETURN_IF_ERROR(FailIfReadOnly());
   SS_ASSIGN_OR_RETURN(const PageGuard page,
                       pool_.GetBlock(block, /*for_write=*/true));
-  const std::span<double> slots = page.span();
+  UpdateEnergy(block, ApplyOps(page.span(), ops));
+  return Status::OK();
+}
+
+Status TiledStore::ApplyToStaged(StagedBlock& staged,
+                                 std::span<const SlotUpdate> ops) {
+  SS_RETURN_IF_ERROR(FailIfReadOnly());
+  staged.energy_delta += ApplyOps(staged.image, ops);
+  return Status::OK();
+}
+
+double TiledStore::ApplyOps(std::span<double> slots,
+                            std::span<const SlotUpdate> ops) {
   if (!energy_tracking_.load(std::memory_order_relaxed)) {
     // Hot path (no per-op energy accounting): batch maximal runs of ops
     // whose slots ascend by exactly one and share the op kind through the
@@ -189,7 +201,7 @@ Status TiledStore::ApplyToBlock(uint64_t block,
       i = j;
     }
     manager_->stats().coeff_writes += ops.size();
-    return Status::OK();
+    return 0.0;
   }
   // Energy-tracked path: the energy delta is a sequence-ordered serial sum
   // (new² − old² per op, accumulated in op order), so it stays scalar —
@@ -202,13 +214,73 @@ Status TiledStore::ApplyToBlock(uint64_t block,
     energy_delta += updated * updated - old * old;
   }
   manager_->stats().coeff_writes += ops.size();
-  UpdateEnergy(block, energy_delta);
-  return Status::OK();
+  return energy_delta;
 }
 
 Status TiledStore::Prefetch(std::span<const uint64_t> blocks,
                             OperationContext* ctx) {
   return pool_.Prefetch(blocks, ctx);
+}
+
+Result<std::vector<TiledStore::StagedBlock>> TiledStore::StageBlocks(
+    std::span<const uint64_t> blocks) {
+  const uint64_t block_size = manager_->block_size();
+  std::vector<StagedBlock> staged(blocks.size());
+  std::vector<uint64_t> absent_ids;
+  std::vector<size_t> absent;
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    staged[i].block = blocks[i];
+    staged[i].present.resize(block_size);
+    // One pool-mutex section per block, so a query waits for at most one
+    // frame copy.
+    if (!pool_.CopyIfResident(blocks[i], staged[i].present)) {
+      absent_ids.push_back(blocks[i]);
+      absent.push_back(i);
+    }
+  }
+  if (!absent.empty()) {
+    std::vector<double> read(absent.size() * block_size);
+    SS_RETURN_IF_ERROR(manager_->ReadBlocks(absent_ids, read));
+    for (size_t k = 0; k < absent.size(); ++k) {
+      std::copy_n(read.begin() + k * block_size, block_size,
+                  staged[absent[k]].present.begin());
+    }
+  }
+  for (StagedBlock& block : staged) block.image = block.present;
+  return staged;
+}
+
+Status TiledStore::JournalStaged(std::span<const StagedBlock> staged) {
+  SS_RETURN_IF_ERROR(FailIfReadOnly());
+  if (journal_ == nullptr) return Status::OK();
+  std::vector<BlockWrite> writes;
+  writes.reserve(staged.size());
+  for (const StagedBlock& block : staged) {
+    writes.push_back({block.block, block.image});
+  }
+  return journal_->AppendWithParity(*manager_, writes);
+}
+
+Status TiledStore::InstallStaged(std::span<const StagedBlock> staged,
+                                 const InstallFn& install) {
+  for (const StagedBlock& block : staged) {
+    SS_ASSIGN_OR_RETURN(PageGuard frame,
+                        pool_.PinForInstall(block.block, block.present));
+    install(block.block, [&] {
+      std::copy(block.image.begin(), block.image.end(), frame.span().begin());
+      UpdateEnergy(block.block, block.energy_delta);
+    });
+    Status written = install_write_hook_ ? install_write_hook_(block.block)
+                                         : Status::OK();
+    if (written.ok()) written = manager_->WriteBlock(block.block, block.image);
+    // Clean even after a failed write: the journal record, not the pool,
+    // then holds the batch. A dirty frame would reach the device through a
+    // later flush, whose own commit record replaces this one.
+    frame.ReleaseClean();
+    SS_RETURN_IF_ERROR(written);
+  }
+  if (journal_ == nullptr) return Status::OK();
+  return journal_->Complete(*manager_);
 }
 
 Status TiledStore::EnableEnergyTracking() {
@@ -287,8 +359,8 @@ Result<std::vector<uint64_t>> TiledStore::Scrub() {
   return corrupt;
 }
 
-Result<ScrubReport> TiledStore::ScrubRepair(bool flush_first) {
-  if (flush_first) SS_RETURN_IF_ERROR(Flush());
+Result<ScrubReport> TiledStore::ScrubRepair() {
+  SS_RETURN_IF_ERROR(Flush());
   SS_ASSIGN_OR_RETURN(ScrubReport report, manager_->ScrubRepair());
   if (!report.repaired.empty()) {
     std::vector<uint64_t> data_ids;

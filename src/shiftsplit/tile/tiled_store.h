@@ -7,9 +7,11 @@
 #define SHIFTSPLIT_TILE_TILED_STORE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "shiftsplit/storage/buffer_pool.h"
@@ -96,6 +98,68 @@ class TiledStore {
   Status Prefetch(std::span<const uint64_t> blocks,
                   OperationContext* ctx = nullptr);
 
+  // ---- Journal-first staged commit (the serving drain) -------------------
+  // Stage the present images of a batch's blocks, edit them privately,
+  // journal the result, then install block by block. No step holds the
+  // pool mutex across device I/O, and no block reaches the device before
+  // the batch's journal record is durable.
+
+  /// \brief One block of a staged commit: `present` is the image the store
+  /// holds now, `image` the image the commit installs, `energy_delta` the
+  /// change of the block's tracked energy that the install applies.
+  struct StagedBlock {
+    uint64_t block = 0;
+    std::vector<double> present;
+    std::vector<double> image;
+    double energy_delta = 0.0;
+  };
+
+  /// \brief Stages `blocks` (ascending, distinct): a resident block copies
+  /// its frame, the absent ones are read in one vectored device read with
+  /// no pool lock held. `image` starts equal to `present`.
+  Result<std::vector<StagedBlock>> StageBlocks(
+      std::span<const uint64_t> blocks);
+
+  /// \brief ApplyToBlock's arithmetic on a staged image: the same per-slot
+  /// `+=` chain and coefficient-write counting, with no pool access. The
+  /// energy change accumulates in `staged.energy_delta`; the index moves
+  /// only when InstallStaged installs the block, so a batch abandoned
+  /// before its install leaves the index as it was.
+  Status ApplyToStaged(StagedBlock& staged, std::span<const SlotUpdate> ops);
+
+  /// \brief Makes the staged batch durable before any block changes: one
+  /// journal record with the new images and the parity they imply
+  /// (Journal::AppendWithParity). A no-op without a journal (in-memory
+  /// stores).
+  Status JournalStaged(std::span<const StagedBlock> staged);
+
+  /// \brief Called by InstallStaged once per block with its frame pinned.
+  /// It must call `swap` — which copies the new image into the frame and
+  /// moves the block's tracked energy — inside the critical section that
+  /// retires whatever the frame's readers fold on top of it.
+  using InstallFn = std::function<void(uint64_t block,
+                                       const std::function<void()>& swap)>;
+
+  /// \brief Installs a journaled batch block by block: pins the block's
+  /// frame (an absent block becomes resident from its present image, with
+  /// no device read), calls `install`, writes the image in place with no
+  /// lock held — the pin keeps readers off the stale device image — and
+  /// unpins the frame clean. Then syncs the device and retires the journal
+  /// record (Journal::Complete; skipped without a journal). After a
+  /// failure the frames stay clean and the journal still holds the whole
+  /// batch: reopening replays it.
+  Status InstallStaged(std::span<const StagedBlock> staged,
+                       const InstallFn& install);
+
+  /// \brief Test hook, in the style of Journal::set_hook: InstallStaged
+  /// calls it before each block's in-place write, and a non-OK status
+  /// fails that write as the device would, after the frame took the new
+  /// image. Set it while no drain runs; production stores have none.
+  using InstallWriteHook = std::function<Status(uint64_t block)>;
+  void set_install_write_hook_for_test(InstallWriteHook hook) {
+    install_write_hook_ = std::move(hook);
+  }
+
   /// \brief Builds the per-block energy index: one full scan recording each
   /// block's sum of squared coefficients, then maintained exactly by the
   /// per-coefficient write paths (Set/Add/ApplyToBlock track new² − old²).
@@ -155,13 +219,7 @@ class TiledStore {
   /// detect-only Scrub is re-admitted. Salvage mode (failed journal
   /// recovery) is never cleared: its blocks verify individually but may be
   /// torn across an incomplete commit.
-  ///
-  /// `flush_first` = false scrubs the on-disk image without committing
-  /// pending dirty pages — for callers (ServingCube::RepairNow on a
-  /// poisoned cube) whose dirty pages must only reach disk in a later
-  /// atomic commit together with their watermark. Dirty frames survive the
-  /// pool invalidation, so they still overwrite the repaired payloads.
-  Result<ScrubReport> ScrubRepair(bool flush_first = true);
+  Result<ScrubReport> ScrubRepair();
 
   /// \brief True once the store has degraded (failed recovery or scrub
   /// corruption); all write paths then fail.
@@ -190,11 +248,15 @@ class TiledStore {
   Status FailIfReadOnly() const;
   // Adds `delta` to block b's tracked energy (no-op when tracking is off).
   void UpdateEnergy(uint64_t block, double delta);
+  // ApplyToBlock's `+=` chain on `slots`; returns the energy change (0.0
+  // when tracking is off).
+  double ApplyOps(std::span<double> slots, std::span<const SlotUpdate> ops);
 
   std::unique_ptr<TileLayout> layout_;
   BlockManager* manager_;
   BufferPool pool_;
   std::unique_ptr<Journal> journal_;  // null: plain (non-atomic) flushes
+  InstallWriteHook install_write_hook_;
   bool read_only_ = false;
   bool recovery_failed_ = false;  // salvage mode: ScrubRepair can't clear it
   // Per-block sum of squared coefficients (energy index). Guarded by its

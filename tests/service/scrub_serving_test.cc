@@ -1,12 +1,15 @@
 // Serving-layer scrub-and-repair: inline read-path healing under the
-// serving latch, incremental ScrubTick sweeps, the background Scrubber
-// thread, and RepairNow's in-place healing of a cube poisoned by
-// corruption — including resuming the interrupted drain so no buffered
-// delta is lost and no delta is ever applied twice.
+// serving latch, incremental ScrubTick sweeps (also beside live drains),
+// the background Scrubber thread, and RepairNow's in-place healing of a
+// cube poisoned by corruption — including resuming the interrupted drain so
+// no buffered delta is lost and no delta is ever applied twice.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +20,7 @@
 #include "shiftsplit/core/wavelet_cube.h"
 #include "shiftsplit/service/scrubber.h"
 #include "shiftsplit/service/serving_cube.h"
+#include "shiftsplit/util/random.h"
 #include "testing.h"
 
 namespace shiftsplit {
@@ -219,6 +223,89 @@ TEST(ScrubServingTest, BackgroundScrubberFindsBitRotAndPauses) {
   std::filesystem::remove_all(dir);
 }
 
+// Scrub ticks exclude running drains: with a worker draining live and
+// another thread sweeping ScrubTick(8) over and over, nothing races (the
+// test runs under tsan) and the drained store equals, block for block and
+// bit for bit, a reference cube that applied the same deltas synchronously.
+TEST(ScrubServingTest, ScrubTicksBesideLiveDrainsKeepStoreExact) {
+  const auto dir = MakeTempDir("livedrains");
+  uint64_t stride = 0;
+  CreateParityStore(dir, &stride);
+
+  ServingCube::Options options;
+  options.oversubscribe = true;  // real threads even on 1-CPU CI hosts
+  options.num_workers = 1;
+  options.durable_acks = false;
+  options.drain_min_deltas = 4;
+  options.max_delta_age = std::chrono::milliseconds(1);
+  ASSERT_OK_AND_ASSIGN(auto serving,
+                       ServingCube::OpenOnDisk(dir.string(), 64, options));
+  ASSERT_OK_AND_ASSIGN(auto reference,
+                       WaveletCube::CreateInMemory({3, 3},
+                                                   WaveletCube::Options()));
+
+  std::atomic<bool> writing{true};
+  std::atomic<uint64_t> ticks{0};
+  std::atomic<uint64_t> unrepairable{0};
+  std::thread scrubber([&] {
+    while (writing.load()) {
+      const ServingCube::ScrubTickResult tick = serving->ScrubTick(8);
+      unrepairable.fetch_add(tick.unrepairable);
+      ticks.fetch_add(1);
+      // Paced like the Scrubber thread: back-to-back ticks would hold
+      // drain_mu_ nearly all the time and starve the drain worker.
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  Xoshiro256 rng(20261021);
+  std::vector<Status> failures;
+  // At least 400 deltas, and on until drains ran beside the ticks.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (int i = 0;
+       i < 400 || (serving->stats().apply_batches < 4 &&
+                   std::chrono::steady_clock::now() < deadline);
+       ++i) {
+    const std::vector<uint64_t> at{rng.NextBounded(8), rng.NextBounded(8)};
+    const double value = rng.NextUniform(-2.0, 2.0);
+    const Status added = serving->Add(at, value);
+    if (!added.ok()) failures.push_back(added);
+    Tensor cell(TensorShape({1, 1}));
+    cell[0] = value;
+    const Status applied = reference->Update(cell, at);
+    if (!applied.ok()) failures.push_back(applied);
+    if (i % 16 == 0 && !serving->PointQuery(at).ok()) {
+      failures.push_back(Status::Internal("point query failed"));
+    }
+  }
+  writing.store(false);
+  scrubber.join();
+  ASSERT_TRUE(failures.empty()) << failures[0].ToString();
+
+  ASSERT_OK(serving->DrainAll());
+  EXPECT_GT(ticks.load(), 0u);
+  EXPECT_EQ(unrepairable.load(), 0u);
+  EXPECT_GE(serving->stats().apply_batches, 4u);
+  TiledStore* got_store = serving->cube()->store();
+  TiledStore* want_store = reference->store();
+  const uint64_t num_blocks = want_store->layout().num_blocks();
+  ASSERT_EQ(got_store->layout().num_blocks(), num_blocks);
+  for (uint64_t block = 0; block < num_blocks; ++block) {
+    ASSERT_OK_AND_ASSIGN(PageGuard got,
+                         got_store->PinBlock(block, /*for_write=*/false));
+    ASSERT_OK_AND_ASSIGN(PageGuard want,
+                         want_store->PinBlock(block, /*for_write=*/false));
+    for (size_t slot = 0; slot < want.span().size(); ++slot) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(got.span()[slot]),
+                std::bit_cast<uint64_t>(want.span()[slot]))
+          << "block " << block << " slot " << slot;
+    }
+  }
+  EXPECT_EQ(serving->health(), ShardHealth::kHealthy);
+  ASSERT_OK(serving->Close());
+  std::filesystem::remove_all(dir);
+}
+
 // The in-place healing path end to end: a flush that trips over corrupt
 // parity poisons the cube mid-drain; RepairNow rebuilds parity, clears the
 // poison, and resumes the interrupted drain — every acknowledged delta is
@@ -262,6 +349,49 @@ TEST(ScrubServingTest, RepairNowHealsPoisonedCubeAndResumesDrain) {
   ExpectAllCells(reopened.get(), expected);
   EXPECT_EQ(reopened->health(), ShardHealth::kHealthy);
   ASSERT_OK(reopened->Close());
+  std::filesystem::remove_all(dir);
+}
+
+// A drain that fails before its journal record changes nothing, the energy
+// index included: the block energies move only when a batch installs, so
+// after RepairNow re-drains the same contributions the tracked index equals
+// one built fresh from the store.
+TEST(ScrubServingTest, AbortedDrainLeavesEnergyIndexExact) {
+  const auto dir = MakeTempDir("energy");
+  uint64_t stride = 0;
+  CreateParityStore(dir, &stride);
+
+  ServingCube::Options options;
+  options.start_workers = false;
+  std::vector<double> expected(64, 0.0);
+  ASSERT_OK_AND_ASSIGN(auto serving,
+                       ServingCube::OpenOnDisk(dir.string(), 64, options));
+  TiledStore* store = serving->cube()->store();
+  ASSERT_OK(store->EnableEnergyTracking());
+  AddDeltas(serving.get(), 40, 4, &expected);
+  ASSERT_OK(serving->DrainAll());
+
+  CorruptAllParity(dir, stride);
+  AddDeltas(serving.get(), 24, 5, &expected);
+  ASSERT_FALSE(serving->DrainAll().ok());
+  EXPECT_EQ(serving->poison_status().code(), StatusCode::kChecksumMismatch);
+  ASSERT_OK_AND_ASSIGN(const ScrubReport report, serving->RepairNow());
+  EXPECT_TRUE(report.unrepairable.empty());
+  EXPECT_EQ(serving->health(), ShardHealth::kHealthy);
+  ExpectAllCells(serving.get(), expected);
+
+  const uint64_t num_blocks = store->layout().num_blocks();
+  std::vector<double> tracked(num_blocks);
+  for (uint64_t b = 0; b < num_blocks; ++b) {
+    tracked[b] = store->BlockEnergyCeiling(b);
+  }
+  ASSERT_OK(store->EnableEnergyTracking());  // rebuilds by a full scan
+  for (uint64_t b = 0; b < num_blocks; ++b) {
+    const double fresh = store->BlockEnergyCeiling(b);
+    EXPECT_NEAR(tracked[b], fresh, 1e-9 * std::max(1.0, fresh))
+        << "block " << b;
+  }
+  ASSERT_OK(serving->Close());
   std::filesystem::remove_all(dir);
 }
 

@@ -4,12 +4,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <future>
 #include <limits>
 #include <map>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "shiftsplit/core/wavelet_cube.h"
@@ -276,6 +280,218 @@ TEST(ServingCubeTest, CrashBeforeDrainReplaysAcknowledgedDeltas) {
     ASSERT_OK(serving->Close());
   }
   std::filesystem::remove_all(dir);
+}
+
+// A drain batch touching more blocks than the pool holds must stay
+// exactly-once across a commit that fails: the batch is journaled before
+// any block changes, so no block reaches the device early (no eviction
+// writes it back unjournaled) and a crash plus replay of the delta log
+// applies every delta once.
+TEST(ServingCubeTest, DrainLargerThanPoolSurvivesFailedCommit) {
+  const auto dir = MakeTempDir("bigdrain");
+  {
+    WaveletCube::Options options;  // standard form, b = 2
+    ASSERT_OK_AND_ASSIGN(
+        auto cube, WaveletCube::CreateOnDisk(dir.string(), {6, 6}, options));
+    ASSERT_OK(cube->Close());
+  }
+  ServingCube::Options serve_options;
+  serve_options.start_workers = false;
+  std::map<std::vector<uint64_t>, double> model;
+  Xoshiro256 rng(20261020);
+  {
+    ASSERT_OK_AND_ASSIGN(
+        auto serving,
+        ServingCube::OpenOnDisk(dir.string(), /*pool_blocks=*/8,
+                                serve_options));
+    for (int i = 0; i < 40; ++i) {
+      const std::vector<uint64_t> cell{rng.NextBounded(64),
+                                       rng.NextBounded(64)};
+      ASSERT_OK(serving->Add(cell, 1.0));
+      model[cell] += 1.0;
+    }
+    // A directory where the journal file goes: AppendCommit cannot open it.
+    std::filesystem::create_directory(dir / "store.journal");
+    EXPECT_FALSE(serving->DrainAll().ok());
+    EXPECT_EQ(serving->health(), ShardHealth::kQuarantined);
+    EXPECT_EQ(serving->cube()->durability_stats().unjournaled_write_backs,
+              0u);
+    ASSERT_OK(serving->CrashForTest());
+  }
+  std::filesystem::remove(dir / "store.journal");
+
+  ASSERT_OK_AND_ASSIGN(
+      auto serving,
+      ServingCube::OpenOnDisk(dir.string(), /*pool_blocks=*/1024,
+                              serve_options));
+  for (uint64_t x = 0; x < 64; ++x) {
+    for (uint64_t y = 0; y < 64; ++y) {
+      const std::vector<uint64_t> cell{x, y};
+      const auto it = model.find(cell);
+      const double want = it == model.end() ? 0.0 : it->second;
+      ASSERT_OK_AND_ASSIGN(const double got, serving->PointQuery(cell));
+      ASSERT_EQ(got, want) << "cell (" << x << "," << y << ")";
+    }
+  }
+  const std::vector<uint64_t> lo{0, 0};
+  const std::vector<uint64_t> hi{63, 63};
+  ASSERT_OK_AND_ASSIGN(const double total, serving->RangeSum(lo, hi));
+  EXPECT_EQ(total, 40.0);
+  ASSERT_OK(serving->DrainAll());
+  ASSERT_OK_AND_ASSIGN(const double drained, serving->RangeSum(lo, hi));
+  EXPECT_EQ(drained, 40.0);
+  ASSERT_OK(serving->Close());
+  std::filesystem::remove_all(dir);
+}
+
+// A drain whose in-place write fails after its journal record leaves the
+// batch to the record: Close must not flush the store (a flush's own commit
+// record would replace the batch's, and the blocks already written in place
+// would then take their deltas again from the delta log on reopen), and
+// RepairNow must not lift the poison. Reopening replays the record.
+TEST(ServingCubeTest, InstallWriteFailureReplaysBatchOnReopen) {
+  const auto dir = MakeTempDir("installfail");
+  {
+    WaveletCube::Options options;  // standard form, b = 2
+    ASSERT_OK_AND_ASSIGN(
+        auto cube, WaveletCube::CreateOnDisk(dir.string(), {6, 6}, options));
+    ASSERT_OK(cube->Close());
+  }
+  ServingCube::Options serve_options;
+  serve_options.start_workers = false;
+  std::map<std::vector<uint64_t>, double> model;
+  Xoshiro256 rng(20261021);
+  {
+    ASSERT_OK_AND_ASSIGN(
+        auto serving,
+        ServingCube::OpenOnDisk(dir.string(), /*pool_blocks=*/64,
+                                serve_options));
+    for (int i = 0; i < 40; ++i) {
+      const std::vector<uint64_t> cell{rng.NextBounded(64),
+                                       rng.NextBounded(64)};
+      ASSERT_OK(serving->Add(cell, 1.0));
+      model[cell] += 1.0;
+    }
+    // The third in-place write of the batch fails; two blocks are already
+    // on the device with the batch's deltas.
+    int writes = 0;
+    serving->cube()->store()->set_install_write_hook_for_test(
+        [&writes](uint64_t) {
+          return ++writes == 3 ? Status::IOError("injected write failure")
+                               : Status::OK();
+        });
+    EXPECT_EQ(serving->DrainAll().code(), StatusCode::kIOError);
+    EXPECT_EQ(writes, 3);
+    EXPECT_EQ(serving->health(), ShardHealth::kQuarantined);
+    EXPECT_FALSE(serving->RepairNow().ok());
+    EXPECT_EQ(serving->health(), ShardHealth::kQuarantined);
+    EXPECT_EQ(serving->Close().code(), StatusCode::kIOError);
+  }
+  ASSERT_TRUE(std::filesystem::exists(dir / "store.journal"));
+
+  ASSERT_OK_AND_ASSIGN(
+      auto serving,
+      ServingCube::OpenOnDisk(dir.string(), /*pool_blocks=*/1024,
+                              serve_options));
+  EXPECT_EQ(serving->stats().applied_seq, 40u) << "the record did not replay";
+  for (uint64_t x = 0; x < 64; ++x) {
+    for (uint64_t y = 0; y < 64; ++y) {
+      const std::vector<uint64_t> cell{x, y};
+      const auto it = model.find(cell);
+      const double want = it == model.end() ? 0.0 : it->second;
+      ASSERT_OK_AND_ASSIGN(const double got, serving->PointQuery(cell));
+      ASSERT_EQ(got, want) << "cell (" << x << "," << y << ")";
+    }
+  }
+  const std::vector<uint64_t> lo{0, 0};
+  const std::vector<uint64_t> hi{63, 63};
+  ASSERT_OK_AND_ASSIGN(const double total, serving->RangeSum(lo, hi));
+  EXPECT_EQ(total, 40.0);
+  ASSERT_OK(serving->Close());
+  std::filesystem::remove_all(dir);
+}
+
+// Writes become visible in sequence order, and Add returns only once its
+// own write is visible: while writer 1 sits between taking its sequence
+// number and inserting its write set, writer 2's later delta is inserted
+// but stays invisible to a third thread's queries, writer 2's Add does not
+// return, and no drain moves the applied watermark past writer 1's seq.
+TEST(ServingCubeTest, WritesBecomeVisibleInSequenceOrder) {
+  ASSERT_OK_AND_ASSIGN(auto base, MakeCube());
+  ServingCube::Options options;
+  options.start_workers = false;
+  ASSERT_OK_AND_ASSIGN(auto serving,
+                       ServingCube::Attach(std::move(base), options));
+  const std::vector<uint64_t> early{1, 1};
+  const std::vector<uint64_t> cell_1{3, 5};
+  const std::vector<uint64_t> cell_2{12, 9};
+  ASSERT_OK(serving->Add(early, 1.0));
+  ASSERT_OK(serving->Add(early, 2.0));  // seqs 1 and 2, published
+  const uint64_t slots_before = serving->stats().pending_slots;
+
+  constexpr uint64_t kHeldSeq = 3;
+  std::promise<void> paused;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  serving->buffer_for_test()->set_add_hook_for_test(
+      [&paused, released](uint64_t seq) {
+        if (seq != kHeldSeq) return;
+        paused.set_value();
+        released.wait();
+      });
+  Status added_1;
+  std::thread writer_1([&] { added_1 = serving->Add(cell_1, 4.0); });
+  paused.get_future().wait();
+
+  // Writer 2 takes seq 4 and inserts its write set while seq 3 is held.
+  Status added_2;
+  std::atomic<bool> returned_2{false};
+  std::thread writer_2([&] {
+    added_2 = serving->Add(cell_2, 8.0);
+    returned_2.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (serving->stats().pending_slots == slots_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool inserted_2 = serving->stats().pending_slots > slots_before;
+  const Result<double> seen_2 = serving->PointQuery(cell_2);
+  const Result<double> seen_1 = serving->PointQuery(cell_1);
+  const Result<double> seen_early = serving->PointQuery(early);
+  const Status drained = serving->DrainAll();
+  const uint64_t applied_while_held = serving->stats().applied_seq;
+  const bool returned_while_held = returned_2.load();
+  release.set_value();
+  writer_1.join();
+  writer_2.join();
+
+  EXPECT_TRUE(inserted_2) << "writer 2 never inserted its write set";
+  EXPECT_FALSE(returned_while_held)
+      << "Add returned before its write became visible";
+  ASSERT_OK(added_1);
+  ASSERT_OK(added_2);
+  ASSERT_OK(seen_2.status());
+  EXPECT_EQ(*seen_2, 0.0) << "a write became visible before an older one";
+  ASSERT_OK(seen_1.status());
+  EXPECT_EQ(*seen_1, 0.0);
+  ASSERT_OK(seen_early.status());
+  EXPECT_EQ(*seen_early, 3.0);
+  EXPECT_EQ(drained.code(), StatusCode::kUnavailable) << drained.ToString();
+  EXPECT_EQ(applied_while_held, kHeldSeq - 1);
+
+  // Released: both writes are visible and drain.
+  ASSERT_OK_AND_ASSIGN(const double got_1, serving->PointQuery(cell_1));
+  EXPECT_EQ(got_1, 4.0);
+  ASSERT_OK_AND_ASSIGN(const double got_2, serving->PointQuery(cell_2));
+  EXPECT_EQ(got_2, 8.0);
+  ASSERT_OK(serving->DrainAll());
+  EXPECT_EQ(serving->stats().applied_seq, kHeldSeq + 1);
+  ASSERT_OK_AND_ASSIGN(const double drained_2, serving->PointQuery(cell_2));
+  EXPECT_EQ(drained_2, 8.0);
+  ASSERT_OK_AND_ASSIGN(const double drained_1, serving->PointQuery(cell_1));
+  EXPECT_EQ(drained_1, 4.0);
 }
 
 // Satellite: Updater->Appender interleaving through the buffer. Point

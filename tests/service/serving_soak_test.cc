@@ -127,13 +127,15 @@ TEST(ServingSoakTest, ConcurrentWritersReadersAndMaintenance) {
   std::filesystem::remove_all(dir);
 }
 
-// Consistent cuts under live drains. A writer adds +1 to cell A, waits for
-// the ack, then adds +2 to cell B in another block, over and over, while a
-// worker drains in small batches. A range sum over a box holding both cells
-// reads one snapshot, so it sees a prefix of the acked writes: its total is
-// 3k or 3k + 1, never 3k + 2 (B's +2 without the +1 acked before it).
-// Integer deltas on an all-zero store keep every coefficient a small dyadic
-// rational, so the sums are exact.
+// Consistent cuts under live drains. Each of two writers adds +1 to its
+// cell A, waits for the ack, then adds +2 to its cell B in another block,
+// over and over, while a worker drains in small batches. A range sum over a
+// writer's box (holding its A and B, and no cell of the other writer) reads
+// one snapshot, so it sees a prefix of that writer's acked writes: its total
+// is 3k or 3k + 1, never 3k + 2 (B's +2 without the +1 acked before it).
+// The two writers insert concurrently, so a write published ahead of an
+// older one would show up here too. Integer deltas on an all-zero store
+// keep every coefficient a small dyadic rational, so the sums are exact.
 TEST(ServingSoakTest, RangeSumsReadConsistentCutsUnderLiveDrains) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("shiftsplit_serving_cuts_" + std::to_string(::getpid()));
@@ -154,49 +156,61 @@ TEST(ServingSoakTest, RangeSumsReadConsistentCutsUnderLiveDrains) {
   ASSERT_OK_AND_ASSIGN(auto serving,
                        ServingCube::OpenOnDisk(dir.string(), 256, options));
 
-  // A in the low quadrant, B in the high one (different deepest tiles), and
-  // a box around both that starts past the origin, so a sum reads boundary
-  // coefficients from many blocks.
+  // Writer w owns the columns [8w, 8w + 7]: A in the low rows, B in the
+  // high ones (different deepest tiles), and a box around both that starts
+  // past the column and row origins, so a sum reads boundary coefficients
+  // from many blocks but never the other writer's cells.
+  constexpr int kWriters = 2;
+  struct Pair {
+    std::vector<uint64_t> cell_a, cell_b, lo, hi;
+  };
   Xoshiro256 rng(20261020);
-  const std::vector<uint64_t> cell_a{1 + rng.NextBounded(7),
-                                     1 + rng.NextBounded(7)};
-  const std::vector<uint64_t> cell_b{8 + rng.NextBounded(7),
-                                     8 + rng.NextBounded(7)};
-  std::vector<uint64_t> lo(2), hi(2);
-  for (int d = 0; d < 2; ++d) {
-    lo[d] = 1 + rng.NextBounded(cell_a[d]);
-    hi[d] = cell_b[d] + rng.NextBounded(16 - cell_b[d]);
+  std::vector<Pair> pairs_of(kWriters);
+  for (int w = 0; w < kWriters; ++w) {
+    const uint64_t x0 = 8 * static_cast<uint64_t>(w);
+    Pair& p = pairs_of[w];
+    p.cell_a = {x0 + 1 + rng.NextBounded(3), 1 + rng.NextBounded(6)};
+    p.cell_b = {x0 + 4 + rng.NextBounded(4), 8 + rng.NextBounded(7)};
+    p.lo = {x0 + 1 + rng.NextBounded(p.cell_a[0] - x0),
+            1 + rng.NextBounded(p.cell_a[1])};
+    p.hi = {p.cell_b[0] + rng.NextBounded(x0 + 8 - p.cell_b[0]),
+            p.cell_b[1] + rng.NextBounded(16 - p.cell_b[1])};
   }
 
-  // The writer keeps going until the worker has committed kMinDrains
+  // The writers keep going until the worker has committed kMinDrains
   // batches, so the sums overlap many live drains.
   constexpr int kMinPairs = 400;
   constexpr uint64_t kMinDrains = 20;
   constexpr int kReaders = 2;
-  std::atomic<bool> writer_done{false};
+  std::atomic<int> writers_done{0};
   std::atomic<uint64_t> sums{0};
   std::atomic<uint64_t> torn{0};
   std::atomic<uint64_t> failures{0};
-  int pairs = 0;
-  std::thread writer([&] {
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(60);
-    while (pairs < kMinPairs ||
-           (serving->stats().apply_batches < kMinDrains &&
-            std::chrono::steady_clock::now() < give_up)) {
-      if (!serving->Add(cell_a, 1.0).ok() ||
-          !serving->Add(cell_b, 2.0).ok()) {
-        failures.fetch_add(1);
+  std::vector<int> pairs(kWriters, 0);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      const Pair& p = pairs_of[w];
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      while (pairs[w] < kMinPairs ||
+             (serving->stats().apply_batches < kMinDrains &&
+              std::chrono::steady_clock::now() < give_up)) {
+        if (!serving->Add(p.cell_a, 1.0).ok() ||
+            !serving->Add(p.cell_b, 2.0).ok()) {
+          failures.fetch_add(1);
+        }
+        ++pairs[w];
       }
-      ++pairs;
-    }
-    writer_done.store(true);
-  });
+      writers_done.fetch_add(1);
+    });
+  }
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
-      while (!writer_done.load()) {
-        const Result<double> sum = serving->RangeSum(lo, hi);
+      for (uint64_t i = 0; writers_done.load() < kWriters; ++i) {
+        const Pair& p = pairs_of[i % kWriters];
+        const Result<double> sum = serving->RangeSum(p.lo, p.hi);
         if (!sum.ok()) {
           failures.fetch_add(1);
           continue;
@@ -209,7 +223,7 @@ TEST(ServingSoakTest, RangeSumsReadConsistentCutsUnderLiveDrains) {
       }
     });
   }
-  writer.join();
+  for (std::thread& writer : writers) writer.join();
   for (std::thread& reader : readers) reader.join();
 
   EXPECT_EQ(failures.load(), 0u);
@@ -217,8 +231,11 @@ TEST(ServingSoakTest, RangeSumsReadConsistentCutsUnderLiveDrains) {
   EXPECT_GT(sums.load(), 0u);
   EXPECT_GE(serving->stats().apply_batches, kMinDrains);
   ASSERT_OK(serving->DrainAll());
-  ASSERT_OK_AND_ASSIGN(const double total, serving->RangeSum(lo, hi));
-  EXPECT_EQ(total, 3.0 * pairs);
+  for (int w = 0; w < kWriters; ++w) {
+    ASSERT_OK_AND_ASSIGN(const double total,
+                         serving->RangeSum(pairs_of[w].lo, pairs_of[w].hi));
+    EXPECT_EQ(total, 3.0 * pairs[w]) << "writer " << w;
+  }
   ASSERT_OK(serving->Close());
   std::filesystem::remove_all(dir);
 }

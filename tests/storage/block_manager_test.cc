@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "shiftsplit/storage/file_block_manager.h"
 #include "shiftsplit/storage/memory_block_manager.h"
+#include "shiftsplit/util/random.h"
 #include "testing.h"
 
 namespace shiftsplit {
@@ -139,6 +143,114 @@ TEST_P(BlockManagerContractTest, StatsCountBlockIo) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, BlockManagerContractTest,
                          ::testing::Values(Backend::kMemory, Backend::kFile));
+
+// Concurrent I/O on distinct blocks (the BlockManager contract the serving
+// drain relies on): kThreads threads each read back and rewrite their own
+// blocks with seeded images, round after round. Block id % kThreads picks
+// the owner, so with parity every group of 4 is shared by all threads.
+enum class ConcurrentDevice { kMemory, kFileChecksums, kFileParity };
+
+class ConcurrentBlockIoTest
+    : public ::testing::TestWithParam<ConcurrentDevice> {
+ protected:
+  static constexpr uint64_t kBlockSize = 16;
+  static constexpr uint64_t kBlocks = 64;
+  static constexpr uint64_t kThreads = 4;
+  static constexpr int kRounds = 12;
+
+  void SetUp() override {
+    if (GetParam() == ConcurrentDevice::kMemory) {
+      manager_ = std::make_unique<MemoryBlockManager>(kBlockSize, kBlocks);
+      return;
+    }
+    FileBlockManager::Options options;
+    options.checksums = true;
+    options.epoch = 7;
+    if (GetParam() == ConcurrentDevice::kFileParity) {
+      options.parity_group = 4;
+    }
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<FileBlockManager> file,
+        FileBlockManager::Open(dir_.File("blocks.bin"), kBlockSize, options));
+    ASSERT_OK(file->Resize(kBlocks));
+    manager_ = std::move(file);
+  }
+
+  // The seeded image written to block `id` in `round`.
+  static std::vector<double> Image(uint64_t id, int round) {
+    Xoshiro256 rng(id * 1000 + static_cast<uint64_t>(round));
+    std::vector<double> image(kBlockSize);
+    for (double& v : image) v = rng.NextUniform(-8.0, 8.0);
+    return image;
+  }
+
+  TempDir dir_;
+  std::unique_ptr<BlockManager> manager_;
+};
+
+TEST_P(ConcurrentBlockIoTest, DistinctBlocksReadAndRewriteConcurrently) {
+  std::vector<std::string> failures[kThreads];
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([this, t, &failures] {
+      std::vector<double> got(kBlockSize);
+      for (int round = 0; round < kRounds; ++round) {
+        for (uint64_t id = t; id < kBlocks; id += kThreads) {
+          const Status read = manager_->ReadBlock(id, got);
+          const std::vector<double> want =
+              round == 0 ? std::vector<double>(kBlockSize, 0.0)
+                         : Image(id, round - 1);
+          if (!read.ok() || got != want) {
+            failures[t].push_back("block " + std::to_string(id) +
+                                  " round " + std::to_string(round) + ": " +
+                                  read.ToString());
+          }
+          const Status written = manager_->WriteBlock(id, Image(id, round));
+          if (!written.ok()) failures[t].push_back(written.ToString());
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(failures[t].empty()) << "thread " << t << ": "
+                                     << failures[t].front();
+  }
+
+  ASSERT_OK(manager_->Sync());
+  std::vector<double> got(kBlockSize);
+  for (uint64_t id = 0; id < kBlocks; ++id) {
+    ASSERT_OK(manager_->ReadBlock(id, got));
+    const std::vector<double> want = Image(id, kRounds - 1);
+    for (uint64_t i = 0; i < kBlockSize; ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(got[i]),
+                std::bit_cast<uint64_t>(want[i]))
+          << "block " << id << " slot " << i;
+    }
+  }
+  EXPECT_EQ(manager_->stats().block_writes, kBlocks * kRounds);
+  // Parity maintained from four threads still matches every group.
+  ASSERT_OK_AND_ASSIGN(const ScrubReport report, manager_->ScrubRepair());
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(manager_->durability_stats().checksum_failures, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Devices, ConcurrentBlockIoTest,
+    ::testing::Values(ConcurrentDevice::kMemory,
+                      ConcurrentDevice::kFileChecksums,
+                      ConcurrentDevice::kFileParity),
+    [](const ::testing::TestParamInfo<ConcurrentDevice>& info) {
+      switch (info.param) {
+        case ConcurrentDevice::kMemory:
+          return std::string("Memory");
+        case ConcurrentDevice::kFileChecksums:
+          return std::string("FileChecksums");
+        case ConcurrentDevice::kFileParity:
+          return std::string("FileChecksumsParity");
+      }
+      return std::string("Unknown");
+    });
 
 TEST(FileBlockManagerTest, PersistsAcrossReopen) {
   TempDir dir;

@@ -34,57 +34,73 @@ namespace testing {
 ///    shadow map standing in for the OS page cache — only Sync publishes
 ///    them to the inner device, and the crash discards whatever was staged,
 ///    modelling a kernel that never flushed.
+///
+/// Like the devices it wraps, the decorator is safe for concurrent calls on
+/// distinct blocks: one mutex guards every counter, knob and the shadow
+/// map, and is released around the inner device's reads and writes.
 class FaultInjectionBlockManager : public BlockManager {
  public:
   /// \param inner real device (not owned; must outlive the decorator)
   explicit FaultInjectionBlockManager(BlockManager* inner) : inner_(inner) {}
 
-  void FailNthRead(uint64_t n) { fail_read_at_ = reads_seen_ + n; }
-  void FailNthWrite(uint64_t n) { fail_write_at_ = writes_seen_ + n; }
+  void FailNthRead(uint64_t n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    fail_read_at_ = reads_seen_ + n;
+  }
+  void FailNthWrite(uint64_t n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    fail_write_at_ = writes_seen_ + n;
+  }
 
   // ---- Chaos knobs (integration/chaos_soak_test.cc) ---------------------
-  // Deterministic under a fixed arrival order; the soak test serializes
-  // device access through one buffer pool, so they are also race-free.
+  // Deterministic under a fixed arrival order.
 
   /// \brief Every nth read (by arrival order) fails with a transient
   /// IOError; the immediate retry passes — exercising the retry budget.
   /// 0 disables.
   void FailEveryNthRead(uint64_t n) {
-    std::lock_guard<std::mutex> lock(chaos_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     transient_every_ = n;
   }
 
   /// \brief All reads of block `id` fail with `status` until cleared —
   /// e.g. ChecksumMismatch to model a quarantined block.
   void InjectReadStatus(uint64_t id, Status status) {
-    std::lock_guard<std::mutex> lock(chaos_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     injected_status_[id] = std::move(status);
   }
   void ClearReadStatus(uint64_t id) {
-    std::lock_guard<std::mutex> lock(chaos_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     injected_status_.erase(id);
   }
   void ClearAllReadStatus() {
-    std::lock_guard<std::mutex> lock(chaos_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     injected_status_.clear();
   }
 
   /// \brief Every nth read stalls `micros` before completing — a latency
   /// spike a deadline must cut short. 0 disables.
   void SetReadLatency(uint64_t every_nth, uint64_t micros) {
-    std::lock_guard<std::mutex> lock(chaos_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     latency_every_ = every_nth;
     latency_us_ = micros;
   }
 
   /// Read/write operations beyond `budget` fail until Refill.
-  void FailAfter(uint64_t budget) { budget_ = budget; }
-  void Refill(uint64_t budget) { budget_ = budget; }
-  void DisableBudget() { budget_.reset(); }
+  void FailAfter(uint64_t budget) {
+    std::lock_guard<std::mutex> lock(mu_);
+    budget_ = budget;
+  }
+  void Refill(uint64_t budget) { FailAfter(budget); }
+  void DisableBudget() {
+    std::lock_guard<std::mutex> lock(mu_);
+    budget_.reset();
+  }
 
   /// \brief Arms the power-cut mode: the nth (1-based) durability op fails
   /// and the device is dead from then on.
   void CrashAfterNthOp(uint64_t n, bool drop_unsynced) {
+    std::lock_guard<std::mutex> lock(mu_);
     crash_at_ = n;
     crash_ops_seen_ = 0;
     crashed_ = false;
@@ -96,37 +112,46 @@ class FaultInjectionBlockManager : public BlockManager {
   /// WriteBlock/Sync internally, and by the Journal hook for journal-file
   /// steps). Fails once the budget is exhausted.
   Status ConsumeCrashOp() {
-    if (crashed_) return Status::IOError("simulated power cut: device off");
-    if (crash_at_ == 0) return Status::OK();
-    ++crash_ops_seen_;
-    if (crash_ops_seen_ >= crash_at_) {
-      crashed_ = true;
-      unsynced_.clear();  // staged page-cache contents are lost
-      return Status::IOError("simulated power cut");
-    }
-    return Status::OK();
+    std::lock_guard<std::mutex> lock(mu_);
+    return ConsumeCrashOpLocked();
   }
 
-  bool crashed() const { return crashed_; }
-  uint64_t crash_ops_seen() const { return crash_ops_seen_; }
+  bool crashed() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return crashed_;
+  }
+  uint64_t crash_ops_seen() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return crash_ops_seen_;
+  }
 
-  uint64_t reads_seen() const { return reads_seen_; }
-  uint64_t writes_seen() const { return writes_seen_; }
+  uint64_t reads_seen() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return reads_seen_;
+  }
+  uint64_t writes_seen() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return writes_seen_;
+  }
 
   uint64_t block_size() const override { return inner_->block_size(); }
   uint64_t num_blocks() const override { return inner_->num_blocks(); }
   Status Resize(uint64_t num_blocks) override {
-    if (crashed_) return Status::IOError("simulated power cut: device off");
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (crashed_) return Status::IOError("simulated power cut: device off");
+    }
     return inner_->Resize(num_blocks);
   }
 
   Status ReadBlock(uint64_t id, std::span<double> out) override {
-    ++reads_seen_;
-    if (reads_seen_ == fail_read_at_) {
-      return Status::IOError("injected read failure");
-    }
+    uint64_t stall_us = 0;
     {
-      std::lock_guard<std::mutex> lock(chaos_mu_);
+      std::lock_guard<std::mutex> lock(mu_);
+      ++reads_seen_;
+      if (reads_seen_ == fail_read_at_) {
+        return Status::IOError("injected read failure");
+      }
       if (const auto it = injected_status_.find(id);
           it != injected_status_.end()) {
         return it->second;
@@ -135,40 +160,47 @@ class FaultInjectionBlockManager : public BlockManager {
         return Status::IOError("injected transient read failure");
       }
       if (latency_every_ != 0 && reads_seen_ % latency_every_ == 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(latency_us_));
+        stall_us = latency_us_;
+      }
+      if (crashed_) return Status::IOError("simulated power cut: device off");
+      SS_RETURN_IF_ERROR(ConsumeBudgetLocked());
+      ++stats_.block_reads;
+      // Read-your-writes for staged (not yet synced) blocks.
+      if (drop_unsynced_) {
+        const auto it = unsynced_.find(id);
+        if (it != unsynced_.end()) {
+          std::copy(it->second.begin(), it->second.end(), out.begin());
+          return Status::OK();
+        }
       }
     }
-    if (crashed_) return Status::IOError("simulated power cut: device off");
-    SS_RETURN_IF_ERROR(ConsumeBudget());
-    ++stats_.block_reads;
-    // Read-your-writes for staged (not yet synced) blocks.
-    if (drop_unsynced_) {
-      const auto it = unsynced_.find(id);
-      if (it != unsynced_.end()) {
-        std::copy(it->second.begin(), it->second.end(), out.begin());
-        return Status::OK();
-      }
+    if (stall_us != 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(stall_us));
     }
     return inner_->ReadBlock(id, out);
   }
 
   Status WriteBlock(uint64_t id, std::span<const double> data) override {
-    ++writes_seen_;
-    if (writes_seen_ == fail_write_at_) {
-      return Status::IOError("injected write failure");
-    }
-    SS_RETURN_IF_ERROR(ConsumeCrashOp());
-    SS_RETURN_IF_ERROR(ConsumeBudget());
-    ++stats_.block_writes;
-    if (drop_unsynced_) {
-      unsynced_[id].assign(data.begin(), data.end());
-      return Status::OK();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++writes_seen_;
+      if (writes_seen_ == fail_write_at_) {
+        return Status::IOError("injected write failure");
+      }
+      SS_RETURN_IF_ERROR(ConsumeCrashOpLocked());
+      SS_RETURN_IF_ERROR(ConsumeBudgetLocked());
+      ++stats_.block_writes;
+      if (drop_unsynced_) {
+        unsynced_[id].assign(data.begin(), data.end());
+        return Status::OK();
+      }
     }
     return inner_->WriteBlock(id, data);
   }
 
   Status Sync() override {
-    SS_RETURN_IF_ERROR(ConsumeCrashOp());
+    std::lock_guard<std::mutex> lock(mu_);
+    SS_RETURN_IF_ERROR(ConsumeCrashOpLocked());
     if (drop_unsynced_) {
       for (const auto& [id, data] : unsynced_) {
         SS_RETURN_IF_ERROR(inner_->WriteBlock(id, data));
@@ -179,7 +211,10 @@ class FaultInjectionBlockManager : public BlockManager {
   }
 
   Result<std::vector<uint64_t>> Scrub() override {
-    if (crashed_) return Status::IOError("simulated power cut: device off");
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (crashed_) return Status::IOError("simulated power cut: device off");
+    }
     return inner_->Scrub();
   }
 
@@ -192,7 +227,19 @@ class FaultInjectionBlockManager : public BlockManager {
   }
 
  private:
-  Status ConsumeBudget() {
+  Status ConsumeCrashOpLocked() {
+    if (crashed_) return Status::IOError("simulated power cut: device off");
+    if (crash_at_ == 0) return Status::OK();
+    ++crash_ops_seen_;
+    if (crash_ops_seen_ >= crash_at_) {
+      crashed_ = true;
+      unsynced_.clear();  // staged page-cache contents are lost
+      return Status::IOError("simulated power cut");
+    }
+    return Status::OK();
+  }
+
+  Status ConsumeBudgetLocked() {
     if (!budget_.has_value()) return Status::OK();
     if (*budget_ == 0) return Status::IOError("injected device failure");
     --*budget_;
@@ -200,6 +247,7 @@ class FaultInjectionBlockManager : public BlockManager {
   }
 
   BlockManager* inner_;
+  mutable std::mutex mu_;  // guards everything below
   uint64_t reads_seen_ = 0;
   uint64_t writes_seen_ = 0;
   uint64_t fail_read_at_ = 0;   // 0 = disabled
@@ -210,8 +258,6 @@ class FaultInjectionBlockManager : public BlockManager {
   bool crashed_ = false;
   bool drop_unsynced_ = false;
   std::map<uint64_t, std::vector<double>> unsynced_;  // staged "page cache"
-
-  std::mutex chaos_mu_;  // knob setters may race the device thread
   uint64_t transient_every_ = 0;  // 0 = off
   uint64_t latency_every_ = 0;    // 0 = off
   uint64_t latency_us_ = 0;
