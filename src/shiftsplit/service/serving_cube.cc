@@ -366,7 +366,10 @@ Result<DegradedResult> ServingCube::RangeSum(std::span<const uint64_t> lo,
 }
 
 Status ServingCube::DrainOnce() {
+  // Announced while queued, so a back-to-back ScrubTick loop yields.
+  drains_waiting_.fetch_add(1);
   std::lock_guard<std::mutex> drain_lock(drain_mu_);
+  drains_waiting_.fetch_sub(1);
   // Abandon poisons before it takes drain_mu_: no batch starts on a store
   // whose pages it has discarded.
   SS_RETURN_IF_ERROR(CheckHealthy());
@@ -429,6 +432,9 @@ Result<std::vector<TiledStore::StagedBlock>> ServingCube::StageAndJournal(
 ServingCube::ScrubTickResult ServingCube::ScrubTick(uint64_t max_blocks) {
   ScrubTickResult result;
   if (max_blocks == 0 || !CheckHealthy().ok()) return result;
+  // drain_mu_ is not fair: a caller ticking back to back would starve the
+  // drain worker, so a tick yields to a queued drain.
+  if (drains_waiting_.load() != 0) return result;
   std::lock_guard<std::mutex> scrub_lock(scrub_mu_);
   TiledStore* store = cube_->store();
   BlockManager& device = store->manager();

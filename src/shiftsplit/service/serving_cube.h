@@ -168,7 +168,8 @@ class ServingCube {
   /// path — a corrupt block is rebuilt from parity in place (and its stale
   /// cached frame dropped); an unrepairable one is counted and left for
   /// the supervisor. Wraps around at the end of the device, counting one
-  /// finished pass. A no-op on a poisoned cube.
+  /// finished pass. A no-op on a poisoned cube, and while a drain waits
+  /// for its turn (a tick never starves the drain worker).
   struct ScrubTickResult {
     uint64_t scanned = 0;       ///< blocks verified this tick
     uint64_t repaired = 0;      ///< corrupt blocks rebuilt from parity
@@ -277,6 +278,8 @@ class ServingCube {
   /// query only in a block's buffer stripe.
   mutable std::shared_mutex latch_;
   std::mutex drain_mu_;  ///< serializes whole drain batches
+  /// DrainOnce calls queued on drain_mu_; ScrubTick skips while nonzero.
+  std::atomic<uint32_t> drains_waiting_{0};
 
   /// Exclusive section of Abandon, ScrubTick and RepairNow: takes
   /// drain_mu_ (no drain runs) and then the latch exclusively (no query

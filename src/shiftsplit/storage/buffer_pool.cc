@@ -37,7 +37,7 @@ BufferPool::BufferPool(BlockManager* manager, uint64_t capacity_blocks)
 
 BufferPool::~BufferPool() {
   // Guards hold raw frame pointers; one outliving the pool is a caller bug.
-  assert(pinned_frames_ == 0 && "PageGuard outlived its BufferPool");
+  assert(pinned_frames_.load() == 0 && "PageGuard outlived its BufferPool");
   // Best effort; callers that care about durability call Flush explicitly.
   const uint64_t dropped = FlushBestEffortLocked();
   if (dropped != 0) {
@@ -48,34 +48,84 @@ BufferPool::~BufferPool() {
   }
 }
 
-PageGuard BufferPool::Pin(internal::PoolFrame* frame, bool for_write) {
-  if (frame->pins == 0) ++pinned_frames_;
-  ++frame->pins;
-  return PageGuard(this, frame, for_write);
+void BufferPool::Pin(internal::PoolFrame* frame) {
+  if (frame->pins.fetch_add(1, std::memory_order_relaxed) == 0) {
+    pinned_frames_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+bool BufferPool::DropPin(internal::PoolFrame* frame) {
+  // seq_cst, so at least release: every read of the frame through this pin
+  // happens before an evictor that loads the count as 0 recycles it. It is
+  // also one half of the announce/re-check pattern of PinForInstall.
+  const uint32_t pins = frame->pins.fetch_sub(1);
+  assert(pins > 0);
+  if (pins != 1) return false;
+  // Release too: Discard and Clear free every frame once this count is 0.
+  pinned_frames_.fetch_sub(1, std::memory_order_release);
+  return true;
 }
 
 void BufferPool::Unpin(internal::PoolFrame* frame, bool dirty) {
-  const auto lock = Lock();
-  assert(frame->pins > 0);
-  frame->dirty = frame->dirty || dirty;
-  --frame->pins;
-  if (frame->pins == 0) {
-    assert(pinned_frames_ > 0);
-    --pinned_frames_;
-    if (unpin_waiters_ != 0) unpinned_cv_.notify_all();
+  if (dirty) {
+    const auto lock = Lock();
+    frame->dirty = true;
+    if (DropPin(frame) && unpin_waiters_.load() != 0) {
+      unpinned_cv_.notify_all();
+    }
+    return;
   }
+  // A clean release takes no lock. A waiting PinForInstall announces itself
+  // before re-checking the pins (both seq_cst, like this unpin and this
+  // load), so it either sees this unpin or is seen here and woken.
+  if (!DropPin(frame) || !thread_safe_ || unpin_waiters_.load() == 0) return;
+  const auto lock = Lock();
+  unpinned_cv_.notify_all();
 }
 
 void BufferPool::UnpinClean(internal::PoolFrame* frame) {
   const auto lock = Lock();
-  assert(frame->pins > 0);
   frame->dirty = false;
-  --frame->pins;
-  if (frame->pins == 0) {
-    assert(pinned_frames_ > 0);
-    --pinned_frames_;
-    if (unpin_waiters_ != 0) unpinned_cv_.notify_all();
+  if (DropPin(frame) && unpin_waiters_.load() != 0) unpinned_cv_.notify_all();
+}
+
+Result<bool> BufferPool::AwaitLoad(std::unique_lock<std::mutex>& lock,
+                                   FrameList::iterator frame,
+                                   OperationContext* ctx) {
+  using State = internal::PoolFrame::State;
+  if (frame->state.load() == State::kReady) return true;
+  // Announce, then re-check (both seq_cst): the loader publishes, then
+  // looks for waiters, so one of the two sees the other.
+  load_waiters_.fetch_add(1);
+  bool expired = false;
+  while (frame->state.load() == State::kLoading && !expired) {
+    if (ctx != nullptr && ctx->has_deadline()) {
+      expired = loaded_cv_.wait_until(lock, ctx->deadline()) ==
+                std::cv_status::timeout;
+    } else {
+      loaded_cv_.wait(lock);
+    }
   }
+  load_waiters_.fetch_sub(1);
+  switch (frame->state.load()) {
+    case State::kReady:
+      return true;
+    case State::kLoading: {
+      const uint64_t block_id = frame->block_id;
+      DropPin(&*frame);  // never the last: the loader holds its own
+      return Status::DeadlineExceeded(
+          "deadline passed while waiting for another caller's read of block " +
+          std::to_string(block_id));
+    }
+    case State::kFailed:
+      break;
+  }
+  DropFailed(frame);
+  return false;
+}
+
+void BufferPool::DropFailed(FrameList::iterator frame) {
+  if (DropPin(&*frame)) free_frames_.splice(free_frames_.begin(), lru_, frame);
 }
 
 Result<PageGuard> BufferPool::GetBlock(uint64_t block_id, bool for_write,
@@ -83,72 +133,97 @@ Result<PageGuard> BufferPool::GetBlock(uint64_t block_id, bool for_write,
   // The gate sits before the lock: a caller past its deadline never queues
   // on the pool mutex, so a wedged query unwinds within one block read.
   if (ctx != nullptr) SS_RETURN_IF_ERROR(ctx->Check());
-  const auto lock = Lock();
-  auto it = frames_.find(block_id);
-  if (it != frames_.end()) {
+  auto lock = Lock();
+  // Make the room earlier misses left to be made. A failed victim
+  // write-back fails only a miss, the call that needs the room.
+  const Status trimmed = Trim();
+  for (;;) {
+    const auto it = frames_.find(block_id);
+    if (it == frames_.end()) break;
+    const FrameList::iterator frame = it->second;
     ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second);  // move to MRU
-    return Pin(&*it->second, for_write);
+    lru_.splice(lru_.begin(), lru_, frame);  // move to MRU
+    Pin(&*frame);
+    // Another caller's read of the block may be in flight: wait for it.
+    SS_ASSIGN_OR_RETURN(const bool loaded, AwaitLoad(lock, frame, ctx));
+    if (loaded) return PageGuard(this, &*frame, for_write);
+    --hits_;  // that read failed; this call becomes a miss
   }
   ++misses_;
-  // Choose the victim up front so a full-of-pins pool fails before any I/O.
-  auto victim = lru_.end();
-  if (frames_.size() >= capacity_) {
-    victim = FindVictim();
-    if (victim == lru_.end()) {
-      return Status::ResourceExhausted(
-          "all " + std::to_string(capacity_) +
-          " buffer-pool frames are pinned; release a PageGuard or enlarge "
-          "the pool");
+  SS_RETURN_IF_ERROR(trimmed);
+  // Fail a full-of-pins pool before any I/O.
+  if (frames_.size() >= capacity_ && FindVictim() == lru_.end()) {
+    return Status::ResourceExhausted(
+        "all " + std::to_string(capacity_) +
+        " buffer-pool frames are pinned; release a PageGuard or enlarge "
+        "the pool");
+  }
+  // Insert the frame pinned and loading, then read with the mutex released:
+  // other blocks' lookups proceed, and a miss on this block waits for this
+  // read instead of issuing its own.
+  const FrameList::iterator frame =
+      TakeFrame(block_id, lru_.begin(), internal::PoolFrame::kLoading);
+  Pin(&*frame);
+  if (lock.owns_lock()) lock.unlock();
+  Status status = manager_->ReadBlockRetry(block_id, frame->data, ctx);
+  if (status.ok()) {
+    ++io_.block_reads;
+    frame->state.store(internal::PoolFrame::kReady);
+    if (thread_safe_) {
+      // Published without the mutex; it is taken only to wake a waiter.
+      if (load_waiters_.load() != 0) {
+        const std::lock_guard<std::mutex> wake(mu_);
+        loaded_cv_.notify_all();
+      }
+      return PageGuard(this, &*frame, for_write);
     }
+    // No later caller makes a single-threaded pool's room: evict now, after
+    // the read. A failed write-back leaves the victim resident and dirty and
+    // discards the just-read frame below.
+    status = Trim();
+    if (status.ok()) return PageGuard(this, &*frame, for_write);
   }
-  // Read the incoming block before touching the victim: a failed read leaves
-  // cache contents, dirty bits and recency order unchanged.
-  std::vector<double> data = TakeBuffer();
-  SS_RETURN_IF_ERROR(manager_->ReadBlockRetry(block_id, data, ctx));
-  ++io_.block_reads;
-  if (victim == lru_.end()) {
-    lru_.push_front(internal::PoolFrame{block_id, false, 0, std::move(data)});
-    frames_[block_id] = lru_.begin();
-    return Pin(&lru_.front(), for_write);
-  }
-  // A failed write-back also leaves the cache unchanged: the victim stays
-  // resident and dirty, and the just-read data is discarded. On success the
-  // victim's list node and storage are recycled in place — the steady-state
-  // miss path allocates nothing.
-  SS_RETURN_IF_ERROR(WriteBack(*victim));
-  frames_.erase(victim->block_id);
-  ++evictions_;
-  victim->block_id = block_id;
-  victim->dirty = false;
-  victim->pins = 0;
-  std::swap(victim->data, data);
-  free_buffers_.push_back(std::move(data));
-  lru_.splice(lru_.begin(), lru_, victim);
-  frames_[block_id] = victim;
-  return Pin(&*victim, for_write);
+  // Drop the frame. Nothing was evicted, and no dirty bit or recency
+  // position changed: the cache is as it was before this miss.
+  lock = Lock();
+  frame->state.store(internal::PoolFrame::kFailed);
+  frames_.erase(block_id);
+  DropFailed(frame);
+  loaded_cv_.notify_all();    // waiters retry as misses
+  unpinned_cv_.notify_all();  // the dropped frame made room
+  return status;
 }
 
 bool BufferPool::CopyIfResident(uint64_t block_id, std::span<double> out) {
   const auto lock = Lock();
   const auto it = frames_.find(block_id);
   if (it == frames_.end()) return false;
-  const std::vector<double>& data = it->second->data;
-  assert(out.size() == data.size());
-  std::copy(data.begin(), data.end(), out.begin());
+  const internal::PoolFrame& frame = *it->second;
+  if (frame.state.load() != internal::PoolFrame::kReady) return false;
+  assert(out.size() == frame.data.size());
+  std::copy(frame.data.begin(), frame.data.end(), out.begin());
   return true;
 }
 
 Result<PageGuard> BufferPool::PinForInstall(uint64_t block_id,
                                             std::span<const double> present) {
   auto lock = Lock();
-  auto victim = lru_.end();
   for (;;) {
+    SS_RETURN_IF_ERROR(Trim());
     const auto it = frames_.find(block_id);
-    if (it != frames_.end()) return Pin(&*it->second, /*for_write=*/false);
+    if (it != frames_.end()) {
+      const FrameList::iterator frame = it->second;
+      Pin(&*frame);
+      SS_ASSIGN_OR_RETURN(const bool loaded, AwaitLoad(lock, frame, nullptr));
+      if (loaded) return PageGuard(this, &*frame, /*for_write=*/false);
+      continue;  // that read failed: the block is absent again
+    }
     if (frames_.size() < capacity_) break;
-    victim = FindVictim();
-    if (victim != lru_.end()) break;
+    const auto victim = FindVictim();
+    if (victim != lru_.end()) {
+      SS_RETURN_IF_ERROR(Evict(victim));
+      break;
+    }
     // Every frame is pinned. The installer holds none of those pins, and
     // in thread-safe mode each belongs to an operation that releases it
     // shortly, so wait for one; a single-threaded caller would wait for
@@ -159,44 +234,62 @@ Result<PageGuard> BufferPool::PinForInstall(uint64_t block_id,
           " buffer-pool frames are pinned; cannot install block " +
           std::to_string(block_id));
     }
-    ++unpin_waiters_;
-    unpinned_cv_.wait(lock);
-    --unpin_waiters_;
+    // Announce, then re-check (see Unpin).
+    unpin_waiters_.fetch_add(1);
+    if (FindVictim() == lru_.end()) unpinned_cv_.wait(lock);
+    unpin_waiters_.fetch_sub(1);
   }
-  if (victim != lru_.end()) {
-    SS_RETURN_IF_ERROR(WriteBack(*victim));
-    frames_.erase(victim->block_id);
-    ++evictions_;
-    victim->block_id = block_id;
-    victim->dirty = false;
-    victim->pins = 0;
-    std::copy(present.begin(), present.end(), victim->data.begin());
-    lru_.splice(lru_.end(), lru_, victim);  // cold end
-  } else {
-    std::vector<double> data = TakeBuffer();
-    std::copy(present.begin(), present.end(), data.begin());
-    lru_.push_back(internal::PoolFrame{block_id, false, 0, std::move(data)});
-    victim = std::prev(lru_.end());
-  }
-  frames_[block_id] = victim;
-  return Pin(&*victim, /*for_write=*/false);
+  const FrameList::iterator frame =
+      TakeFrame(block_id, lru_.end(), internal::PoolFrame::kReady);  // cold
+  std::copy(present.begin(), present.end(), frame->data.begin());
+  Pin(&*frame);
+  return PageGuard(this, &*frame, /*for_write=*/false);
 }
 
-std::vector<double> BufferPool::TakeBuffer() {
-  if (free_buffers_.empty()) {
-    return std::vector<double>(manager_->block_size());
+BufferPool::FrameList::iterator BufferPool::TakeFrame(
+    uint64_t block_id, FrameList::iterator pos,
+    internal::PoolFrame::State state) {
+  FrameList::iterator frame;
+  if (free_frames_.empty()) {
+    frame = lru_.emplace(pos);
+    frame->data.resize(manager_->block_size());
+  } else {
+    frame = free_frames_.begin();
+    lru_.splice(pos, free_frames_, frame);
   }
-  std::vector<double> buffer = std::move(free_buffers_.back());
-  free_buffers_.pop_back();
-  return buffer;
+  frame->block_id = block_id;
+  frame->dirty = false;
+  frame->state.store(state, std::memory_order_relaxed);
+  frames_[block_id] = frame;
+  return frame;
 }
 
 BufferPool::FrameList::iterator BufferPool::FindVictim() {
   for (auto it = std::prev(lru_.end());; --it) {
-    if (it->pins == 0) return it;
+    // seq_cst, so at least acquire: pairs with a clean release's decrement.
+    // Pins rise only under the mutex, which the caller holds, so a frame
+    // seen unpinned stays so.
+    if (it->pins.load() == 0) return it;
     if (it == lru_.begin()) break;
   }
   return lru_.end();
+}
+
+Status BufferPool::Evict(FrameList::iterator victim) {
+  SS_RETURN_IF_ERROR(WriteBack(*victim));
+  frames_.erase(victim->block_id);
+  ++evictions_;
+  free_frames_.splice(free_frames_.begin(), lru_, victim);
+  return Status::OK();
+}
+
+Status BufferPool::Trim() {
+  while (frames_.size() > capacity_) {
+    const auto victim = FindVictim();
+    if (victim == lru_.end()) break;  // all pinned; a later call trims
+    SS_RETURN_IF_ERROR(Evict(victim));
+  }
+  return Status::OK();
 }
 
 Status BufferPool::WriteBack(internal::PoolFrame& frame) {
@@ -282,9 +375,12 @@ Status BufferPool::Prefetch(std::span<const uint64_t> block_ids,
                             OperationContext* ctx) {
   if (ctx != nullptr) SS_RETURN_IF_ERROR(ctx->Check());
   const auto lock = Lock();
+  SS_RETURN_IF_ERROR(Trim());
   // Distinct not-yet-cached ids, first-to-last, capped at the number of
-  // frames the pool can actually hold alongside the pinned ones.
-  const uint64_t room = capacity_ - pinned_frames_;
+  // frames the pool can actually hold alongside the pinned ones. Failed
+  // frames a waiter still pins count too, so pins may exceed capacity.
+  const uint64_t pinned = pinned_frames_.load();
+  const uint64_t room = pinned < capacity_ ? capacity_ - pinned : 0;
   std::vector<uint64_t> missing;
   missing.reserve(std::min<uint64_t>(block_ids.size(), room));
   for (uint64_t id : block_ids) {
@@ -306,25 +402,13 @@ Status BufferPool::Prefetch(std::span<const uint64_t> block_ids,
     const std::span<const double> src(
         data.data() + i * manager_->block_size(), manager_->block_size());
     if (frames_.size() >= capacity_) {
-      auto victim = FindVictim();
+      const auto victim = FindVictim();
       if (victim == lru_.end()) break;  // everything pinned; stop warming
-      SS_RETURN_IF_ERROR(WriteBack(*victim));
-      frames_.erase(victim->block_id);
-      ++evictions_;
-      // Recycle the victim's node and storage in place.
-      victim->block_id = missing[i];
-      victim->dirty = false;
-      victim->pins = 0;
-      std::copy(src.begin(), src.end(), victim->data.begin());
-      lru_.splice(lru_.begin(), lru_, victim);
-      frames_[missing[i]] = victim;
-      continue;
+      SS_RETURN_IF_ERROR(Evict(victim));
     }
-    std::vector<double> buffer = TakeBuffer();
-    std::copy(src.begin(), src.end(), buffer.begin());
-    lru_.push_front(
-        internal::PoolFrame{missing[i], false, 0, std::move(buffer)});
-    frames_[missing[i]] = lru_.begin();
+    const FrameList::iterator frame =
+        TakeFrame(missing[i], lru_.begin(), internal::PoolFrame::kReady);
+    std::copy(src.begin(), src.end(), frame->data.begin());
   }
   return Status::OK();
 }
@@ -373,12 +457,14 @@ uint64_t BufferPool::InvalidateBlocks(std::span<const uint64_t> block_ids) {
     const auto it = frames_.find(id);
     if (it == frames_.end()) continue;
     // Pinned or dirty frames are left alone: a pin means a caller is still
-    // reading the frame, and a dirty frame holds newer data than the disk
-    // image the caller wants to re-read.
-    if (it->second->pins != 0 || it->second->dirty) continue;
-    free_buffers_.push_back(std::move(it->second->data));
-    lru_.erase(it->second);
+    // reading the frame (or loading it), and a dirty frame holds newer data
+    // than the disk image the caller wants to re-read.
+    const FrameList::iterator frame = it->second;
+    if (frame->pins.load() != 0 || frame->dirty) {
+      continue;
+    }
     frames_.erase(it);
+    free_frames_.splice(free_frames_.begin(), lru_, frame);
     ++dropped;
   }
   return dropped;
@@ -386,9 +472,9 @@ uint64_t BufferPool::InvalidateBlocks(std::span<const uint64_t> block_ids) {
 
 Status BufferPool::Discard() {
   const auto lock = Lock();
-  if (pinned_frames_ != 0) {
+  if (const uint64_t pinned = pinned_frames_.load(); pinned != 0) {
     return Status::ResourceExhausted(
-        std::to_string(pinned_frames_) +
+        std::to_string(pinned) +
         " buffer-pool frame(s) still pinned; release all PageGuards before "
         "Discard");
   }
@@ -422,9 +508,9 @@ uint64_t BufferPool::FlushBestEffortLocked() {
 
 Status BufferPool::Clear() {
   const auto lock = Lock();
-  if (pinned_frames_ != 0) {
+  if (const uint64_t pinned = pinned_frames_.load(); pinned != 0) {
     return Status::ResourceExhausted(
-        std::to_string(pinned_frames_) +
+        std::to_string(pinned) +
         " buffer-pool frame(s) still pinned; release all PageGuards before "
         "Clear");
   }
@@ -435,24 +521,25 @@ Status BufferPool::Clear() {
 }
 
 BufferPool::Stats BufferPool::stats() const {
-  const auto lock = Lock();
   Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
-  s.write_backs = write_backs_;
-  s.flush_failures = flush_failures_;
-  s.prefetched = prefetched_;
-  s.pinned_frames = pinned_frames_;
-  s.cached_blocks = frames_.size();
-  s.capacity = capacity_;
-  s.io = io_;
   {
-    const std::lock_guard<std::mutex> admission_lock(admission_mu_);
-    s.admitted = admitted_;
-    s.admission_rejections = admission_rejections_;
-    s.admission_timeouts = admission_timeouts_;
+    const auto lock = Lock();
+    s.hits = hits_;
+    s.misses = misses_;
+    s.evictions = evictions_;
+    s.write_backs = write_backs_;
+    s.flush_failures = flush_failures_;
+    s.prefetched = prefetched_;
+    s.pinned_frames = pinned_frames_.load();
+    s.cached_blocks = frames_.size();
+    s.capacity = capacity_;
+    s.io = io_;
   }
+  // The admission mutex is never taken while holding mu_.
+  const std::lock_guard<std::mutex> admission_lock(admission_mu_);
+  s.admitted = admitted_;
+  s.admission_rejections = admission_rejections_;
+  s.admission_timeouts = admission_timeouts_;
   return s;
 }
 

@@ -6,6 +6,7 @@
 #ifndef SHIFTSPLIT_STORAGE_BUFFER_POOL_H_
 #define SHIFTSPLIT_STORAGE_BUFFER_POOL_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -29,9 +30,17 @@ namespace internal {
 // One cached block. Frames live in a std::list, so their addresses are
 // stable for the lifetime of the frame — PageGuard relies on this.
 struct PoolFrame {
+  // A loading frame is being read by the caller that missed on it; that
+  // caller publishes it ready, or marks it failed, outside the pool mutex.
+  enum State : uint8_t { kReady, kLoading, kFailed };
+
   uint64_t block_id = 0;
-  bool dirty = false;
-  uint32_t pins = 0;
+  bool dirty = false;  // guarded by the pool mutex
+  std::atomic<State> state{kReady};
+  // Raised only under the pool mutex, so a lookup and its pin are one
+  // critical section and a victim seen unpinned stays unpinned. A clean
+  // release lowers it without the mutex.
+  std::atomic<uint32_t> pins{0};
   std::vector<double> data;
 };
 }  // namespace internal
@@ -141,7 +150,7 @@ class AdmissionTicket {
   BufferPool* pool_ = nullptr;  // non-null while a slot is held
 };
 
-/// \brief Single-threaded pinning LRU block cache with write-back.
+/// \brief Pinning LRU block cache with write-back.
 ///
 /// Contract:
 ///  - GetBlock returns a PageGuard pinning the frame; pinned frames are
@@ -151,17 +160,31 @@ class AdmissionTicket {
 ///  - Write-back is lazy: dirty frames are written on eviction, Flush, or
 ///    pool destruction (best effort; see flush_failures()).
 ///  - Failure atomicity on the miss path: the incoming block is read before
-///    the victim frame is touched. A failed ReadBlock leaves cache contents,
+///    any victim is evicted. A failed ReadBlock leaves cache contents,
 ///    dirty bits and recency order bit-for-bit unchanged; a failed victim
 ///    write-back leaves the victim resident and still dirty.
 ///
 /// Threading: the pool is thread-compatible by default (zero locking
-/// overhead, single-threaded callers only). set_thread_safe(true) switches
-/// every public operation — including guard release — behind an internal
-/// mutex, making the frame table, recency order and all counters safe to
-/// drive from multiple threads. Writes through a pinned span are NOT covered
-/// by the pool mutex: concurrent writers must touch disjoint blocks or
-/// serialize externally (the parallel chunked transform serializes commits).
+/// overhead, single-threaded callers only). set_thread_safe(true) puts the
+/// frame table, recency order and all counters behind an internal mutex,
+/// making the pool safe to drive from multiple threads. No device read of a
+/// miss holds that mutex:
+///  - A miss inserts its frame pinned and *loading* under the mutex, reads
+///    the block with the mutex released, and publishes the frame without
+///    taking the mutex again. A GetBlock of the same block meanwhile pins
+///    the loading frame and waits for that read, so one block has at most
+///    one read in flight.
+///  - The eviction a miss needs is left to the next GetBlock, Prefetch or
+///    PinForInstall, each of which first trims the pool back to capacity.
+///    A thread-safe pool may therefore hold more frames than its capacity
+///    for a moment: one extra for each miss since the last such call. A
+///    single-threaded miss evicts right after its read.
+///  - Releasing a clean guard drops its pin without the mutex; a dirty
+///    release and ReleaseClean take it.
+///
+/// Writes through a pinned span are NOT covered by the pool mutex:
+/// concurrent writers must touch disjoint blocks or serialize externally
+/// (the parallel chunked transform serializes commits).
 class BufferPool {
  public:
   /// \brief Counters describing pool behaviour since construction.
@@ -207,6 +230,11 @@ class BufferPool {
   /// deadline/cancellation gate fires before the lock is taken, so a wedged
   /// caller returns within one block read of its deadline.
   ///
+  /// A call that finds the block still loading for another caller (only in
+  /// a thread-safe pool) counts a hit, pins that frame and waits for its
+  /// read until `ctx`'s deadline, then fails with DeadlineExceeded. If that
+  /// read fails, the call continues as a miss with a read of its own.
+  ///
   /// Errors: ResourceExhausted when the pool is full of pinned frames;
   /// DeadlineExceeded/Cancelled from `ctx`; any Status from the backing
   /// manager's ReadBlock/WriteBlock.
@@ -229,8 +257,10 @@ class BufferPool {
                   OperationContext* ctx = nullptr);
 
   /// \brief Copies `block_id`'s frame into `out` (block_size doubles) if
-  /// the block is resident; returns whether it was. Touches neither recency
-  /// order nor counters.
+  /// the block is resident and ready; returns whether it copied. A frame
+  /// still loading counts as absent: its read returns the device image,
+  /// which the caller then reads itself. Touches neither recency order nor
+  /// counters.
   bool CopyIfResident(uint64_t block_id, std::span<double> out);
 
   /// \brief Pins `block_id`'s frame for a caller that overwrites the frame
@@ -239,6 +269,11 @@ class BufferPool {
   /// the cold end of the LRU with no device read; the victim is chosen and
   /// written back as on a GetBlock miss. Release with
   /// PageGuard::ReleaseClean once the device holds the frame's image.
+  ///
+  /// A frame still loading (a query's read of the block in flight) is
+  /// waited for and then pinned. Nothing else writes the block, so that
+  /// read returns `present`, the block keeps one frame, and the caller's
+  /// in-place write never overlaps a device read of the block.
   ///
   /// When every frame is pinned, a thread-safe pool waits for one to be
   /// released (the installer must hold no pin of its own); a
@@ -332,7 +367,7 @@ class BufferPool {
   uint64_t journaled_write_backs() const { return journaled_write_backs_; }
   uint64_t capacity() const { return capacity_; }
   uint64_t cached_blocks() const { return frames_.size(); }
-  uint64_t pinned_frames() const { return pinned_frames_; }
+  uint64_t pinned_frames() const { return pinned_frames_.load(); }
 
   BlockManager* manager() { return manager_; }
 
@@ -357,23 +392,48 @@ class BufferPool {
                         : std::unique_lock<std::mutex>();
   }
 
-  // Pins `frame` (recording the 0->1 transition) and wraps it in a guard.
-  PageGuard Pin(internal::PoolFrame* frame, bool for_write);
-  // PageGuard::Release calls this: applies `dirty`, drops one pin.
+  // Raises `frame`'s pin count, recording the 0->1 transition. Caller
+  // holds Lock().
+  void Pin(internal::PoolFrame* frame);
+  // Lowers `frame`'s pin count (at least release ordering); true when that
+  // was its last pin. Needs no lock.
+  bool DropPin(internal::PoolFrame* frame);
+  // PageGuard::Release calls this: applies `dirty`, drops one pin. Only a
+  // dirty release takes the lock.
   void Unpin(internal::PoolFrame* frame, bool dirty);
   // PageGuard::ReleaseClean calls this: clears the dirty bit, drops one pin.
   void UnpinClean(internal::PoolFrame* frame);
 
+  // Waits, holding a pin on `frame`, while another caller's read loads it.
+  // True once it is ready (at once for a ready frame); false (pin dropped)
+  // when that read failed; DeadlineExceeded (pin dropped) when `ctx`'s
+  // deadline passes first.
+  Result<bool> AwaitLoad(std::unique_lock<std::mutex>& lock,
+                         FrameList::iterator frame, OperationContext* ctx);
+  // Drops one pin of a frame whose read failed (already out of frames_),
+  // recycling the frame with its last pin. Caller holds Lock().
+  void DropFailed(FrameList::iterator frame);
+
+  // A clean, unpinned frame for `block_id` in `state`, inserted into lru_
+  // before `pos` and into frames_: a recycled node when one is free, a new
+  // one otherwise. Its contents are unspecified.
+  FrameList::iterator TakeFrame(uint64_t block_id, FrameList::iterator pos,
+                                internal::PoolFrame::State state);
+
   // Least-recently-used unpinned frame, or lru_.end() if all are pinned.
   FrameList::iterator FindVictim();
+
+  // Writes `victim` back if dirty, then drops it from the cache and keeps
+  // its node for reuse. A failed write-back leaves it resident and dirty.
+  Status Evict(FrameList::iterator victim);
+
+  // Evicts LRU victims until at most capacity_ frames remain or every
+  // frame is pinned — the room earlier misses left to be made.
+  Status Trim();
 
   // Writes `frame` back if dirty (counting the write-back); on success the
   // frame is clean.
   Status WriteBack(internal::PoolFrame& frame);
-
-  // A block-sized buffer: recycled from a previous eviction when available,
-  // freshly allocated otherwise. Contents are unspecified.
-  std::vector<double> TakeBuffer();
 
   // Unlocked bodies of the public entry points (caller holds Lock()).
   Status FlushLocked();
@@ -390,9 +450,14 @@ class BufferPool {
   uint64_t flush_failures_ = 0;
   uint64_t journaled_write_backs_ = 0;
   uint64_t prefetched_ = 0;
-  uint64_t pinned_frames_ = 0;
-  // PinForInstall callers waiting for a frame's last pin to drop.
-  uint64_t unpin_waiters_ = 0;
+  std::atomic<uint64_t> pinned_frames_{0};
+  // Callers waiting for another caller's read of a loading frame. The
+  // loader takes the mutex to wake them only when one has announced itself.
+  std::atomic<uint64_t> load_waiters_{0};
+  std::condition_variable loaded_cv_;
+  // PinForInstall callers waiting for a frame's last pin to drop; a clean
+  // release takes the mutex to wake them only when one has announced itself.
+  std::atomic<uint64_t> unpin_waiters_{0};
   std::condition_variable unpinned_cv_;
   IoStats io_;  // block reads/writes issued by this pool
   // Admission control (separate mutex, acquired strictly before mu_ and
@@ -407,11 +472,12 @@ class BufferPool {
   uint64_t admission_timeouts_ = 0;
   std::list<AdmissionWaiter*> admission_queue_;  // FIFO, front is next
   // MRU at front. unordered_map points into the list (stable iterators).
+  // lru_ also holds failed frames that a waiter still pins (out of frames_).
   FrameList lru_;
   std::unordered_map<uint64_t, FrameList::iterator> frames_;
-  // Block-sized buffers recycled across evictions so the steady-state miss
-  // path performs no heap allocation.
-  std::vector<std::vector<double>> free_buffers_;
+  // Frame nodes, with their block-sized buffers, recycled across evictions
+  // so the steady-state miss path performs no heap allocation.
+  FrameList free_frames_;
 };
 
 }  // namespace shiftsplit

@@ -55,16 +55,23 @@ bool AllZero(const char* data, uint64_t bytes) {
   return true;
 }
 
-// Verifies one stride image against `epoch`: a structurally valid footer
-// whose CRC matches the payload, or the all-zero never-written pattern.
+// Verifies a payload against its footer and `epoch`: a structurally valid
+// footer whose CRC matches the payload, or the all-zero never-written
+// pattern.
+bool FooterValid(const char* payload, uint64_t payload_bytes,
+                 const BlockFooter& footer, uint64_t epoch) {
+  if (footer.magic == 0 && footer.crc == 0 && footer.epoch == 0) {
+    return AllZero(payload, payload_bytes);
+  }
+  return footer.magic == kFooterMagic &&
+         footer.crc == Crc32c(payload, payload_bytes) && footer.epoch == epoch;
+}
+
+// FooterValid for one stride image (payload followed by its footer).
 bool StrideValid(const char* raw, uint64_t payload_bytes, uint64_t epoch) {
   BlockFooter footer;
   std::memcpy(&footer, raw + payload_bytes, kFooterBytes);
-  if (footer.magic == 0 && footer.crc == 0 && footer.epoch == 0) {
-    return AllZero(raw, payload_bytes);
-  }
-  return footer.magic == kFooterMagic &&
-         footer.crc == Crc32c(raw, payload_bytes) && footer.epoch == epoch;
+  return FooterValid(raw, payload_bytes, footer, epoch);
 }
 
 void XorBytes(char* acc, const char* src, uint64_t bytes) {
@@ -213,13 +220,16 @@ Status FileBlockManager::Resize(uint64_t num_blocks) {
   return Status::OK();
 }
 
-Status FileBlockManager::ReadRawFd(int fd, uint64_t offset, char* dst,
-                                   uint64_t bytes) {
-  uint64_t done = 0;
+Status FileBlockManager::ReadVecFd(int fd, uint64_t offset,
+                                   struct iovec* parts, int count) {
   uint32_t attempt = 0;
-  while (done < bytes) {
-    const ssize_t r = ::pread(fd, dst + done, bytes - done,
-                              static_cast<off_t>(offset + done));
+  for (;;) {
+    while (count > 0 && parts->iov_len == 0) {
+      ++parts;
+      --count;
+    }
+    if (count == 0) return Status::OK();
+    const ssize_t r = ::preadv(fd, parts, count, static_cast<off_t>(offset));
     if (r < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN && attempt < retry_.max_retries) {
@@ -230,12 +240,30 @@ Status FileBlockManager::ReadRawFd(int fd, uint64_t offset, char* dst,
     }
     if (r == 0) {
       // Sparse tail (ftruncate-extended): remaining bytes read as zero.
-      std::memset(dst + done, 0, bytes - done);
-      break;
+      for (int i = 0; i < count; ++i) {
+        std::memset(parts[i].iov_base, 0, parts[i].iov_len);
+      }
+      return Status::OK();
     }
-    done += static_cast<uint64_t>(r);
+    // A short read: skip what it filled and read on from there.
+    offset += static_cast<uint64_t>(r);
+    for (uint64_t done = static_cast<uint64_t>(r); done > 0;) {
+      const uint64_t take = std::min<uint64_t>(done, parts->iov_len);
+      parts->iov_base = static_cast<char*>(parts->iov_base) + take;
+      parts->iov_len -= take;
+      done -= take;
+      if (parts->iov_len == 0) {
+        ++parts;
+        --count;
+      }
+    }
   }
-  return Status::OK();
+}
+
+Status FileBlockManager::ReadRawFd(int fd, uint64_t offset, char* dst,
+                                   uint64_t bytes) {
+  struct iovec part = {dst, static_cast<size_t>(bytes)};
+  return ReadVecFd(fd, offset, &part, 1);
 }
 
 Status FileBlockManager::WriteRawFd(int fd, uint64_t offset, const char* src,
@@ -399,8 +427,13 @@ Status FileBlockManager::VerifyInto(uint64_t id, const char* raw,
     std::memcpy(out.data(), raw, payload_bytes);
     return Status::OK();
   }
-  // Failure path: repairs serialize on mu_, so one rebuild reads a parity
-  // group no other repair is rewriting.
+  return VerifyFailed(id, raw, out, mode);
+}
+
+Status FileBlockManager::VerifyFailed(uint64_t id, const char* raw,
+                                      std::span<double> out, VerifyMode mode) {
+  // Repairs serialize on mu_, so one rebuild reads a parity group no other
+  // repair is rewriting.
   std::lock_guard<std::mutex> lock(mu_);
   ++durability_.checksum_failures;
   if (mode == VerifyMode::kServe && parity_group_ > 0 &&
@@ -437,13 +470,24 @@ Status FileBlockManager::ReadBlock(uint64_t id, std::span<double> out) {
     return Status::OutOfRange("block id beyond device size");
   }
   ++stats_.block_reads;
-  if (!checksums_) {
-    return ReadRaw(id * stride(), reinterpret_cast<char*>(out.data()),
-                   block_size_ * sizeof(double));
+  const uint64_t payload_bytes = block_size_ * sizeof(double);
+  char* payload = reinterpret_cast<char*>(out.data());
+  if (!checksums_) return ReadRaw(id * stride(), payload, payload_bytes);
+  // The payload lands in `out` and the footer beside it, in one preadv, and
+  // is verified in place: a clean read makes no copy.
+  BlockFooter footer;
+  struct iovec parts[] = {{payload, static_cast<size_t>(payload_bytes)},
+                          {&footer, static_cast<size_t>(kFooterBytes)}};
+  SS_RETURN_IF_ERROR(ReadVecFd(fd_, id * stride(), parts, 2));
+  if (FooterValid(payload, payload_bytes, footer, epoch_)) {
+    ClearQuarantine(id);
+    return Status::OK();
   }
+  // Only the failure path (repair, quarantine) needs the raw stride.
   std::vector<char> raw(stride());
-  SS_RETURN_IF_ERROR(ReadRaw(id * stride(), raw.data(), stride()));
-  return VerifyInto(id, raw.data(), out, VerifyMode::kServe);
+  std::memcpy(raw.data(), payload, payload_bytes);
+  std::memcpy(raw.data() + payload_bytes, &footer, kFooterBytes);
+  return VerifyFailed(id, raw.data(), out, VerifyMode::kServe);
 }
 
 Status FileBlockManager::ReadBlocks(std::span<const uint64_t> ids,
@@ -487,46 +531,11 @@ Status FileBlockManager::ReadBlocks(std::span<const uint64_t> ids,
   char* base = reinterpret_cast<char*>(out.data());
   size_t i = 0;
   while (i < ids.size()) {
-    // Maximal run of consecutive ids (one preadv), capped at IOV_MAX.
+    // Maximal run of consecutive ids: one contiguous read.
     size_t j = i + 1;
-    while (j < ids.size() && ids[j] == ids[j - 1] + 1 &&
-           j - i < static_cast<size_t>(IOV_MAX)) {
-      ++j;
-    }
-    const uint64_t run_bytes = (j - i) * block_bytes;
-    const off_t run_offset = static_cast<off_t>(ids[i] * block_bytes);
-    char* run_dst = base + i * block_bytes;
-    uint64_t done = 0;
-    uint32_t attempt = 0;
-    while (done < run_bytes) {
-      // Rebuild the iovec list past the already-read prefix (partial reads).
-      std::vector<struct iovec> iov;
-      for (uint64_t off = done;
-           off < run_bytes && iov.size() < static_cast<size_t>(IOV_MAX);
-           off += block_bytes - off % block_bytes) {
-        const uint64_t len =
-            std::min(block_bytes - off % block_bytes, run_bytes - off);
-        iov.push_back({run_dst + off, static_cast<size_t>(len)});
-      }
-      const ssize_t r = ::preadv(fd_, iov.data(), static_cast<int>(iov.size()),
-                                 run_offset + static_cast<off_t>(done));
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        // Same transient-error policy as the scalar loops: EAGAIN backs off
-        // under the bounded budget and is counted in io_retries.
-        if (errno == EAGAIN && attempt < retry_.max_retries) {
-          BackoffRetry(attempt++);
-          continue;
-        }
-        return Status::IOError(Errno("preadv " + path_));
-      }
-      if (r == 0) {
-        // Sparse tail (ftruncate-extended): remaining bytes read as zero.
-        std::memset(run_dst + done, 0, run_bytes - done);
-        break;
-      }
-      done += static_cast<uint64_t>(r);
-    }
+    while (j < ids.size() && ids[j] == ids[j - 1] + 1) ++j;
+    SS_RETURN_IF_ERROR(ReadRaw(ids[i] * block_bytes, base + i * block_bytes,
+                               (j - i) * block_bytes));
     stats_.block_reads += j - i;
     i = j;
   }

@@ -38,6 +38,8 @@
 
 #include "shiftsplit/storage/block_manager.h"
 
+struct iovec;
+
 namespace shiftsplit {
 
 /// \brief Block device stored in a single flat file.
@@ -76,8 +78,8 @@ class FileBlockManager : public BlockManager {
     /// progress (0 bytes, or EAGAIN) is retried up to this many times with
     /// capped exponential backoff and jitter before surfacing IOError.
     /// EINTR is always retried and does not consume the budget. Applies to
-    /// the scalar pread/pwrite loops and the vectored preadv path alike;
-    /// every consumed retry is counted in DurabilityStats::io_retries.
+    /// every read and write loop; every consumed retry is counted in
+    /// DurabilityStats::io_retries.
     uint32_t retry_attempts = 3;
     /// Initial backoff before the first retry, doubling per attempt up to
     /// RetryPolicy's cap.
@@ -121,9 +123,9 @@ class FileBlockManager : public BlockManager {
   Status WriteBlock(uint64_t id, std::span<const double> data) override;
 
   /// \brief Vectored read: runs of consecutive block ids become single
-  /// preadv calls (one iovec per block, capped at IOV_MAX per call).
-  /// Checksummed files read runs through a bounded scratch buffer instead
-  /// (same syscall coalescing) so footers can be stripped and verified.
+  /// contiguous reads. Checksummed files read runs through a bounded
+  /// scratch buffer instead (same syscall coalescing) so footers can be
+  /// stripped and verified.
   Status ReadBlocks(std::span<const uint64_t> ids,
                     std::span<double> out) override;
 
@@ -190,7 +192,9 @@ class FileBlockManager : public BlockManager {
   // pread/pwrite loops with EINTR handling and the bounded transient-error
   // retry policy, against an explicit fd (data file or parity sidecar).
   // Read `sparse_zero` semantics: a read hitting EOF zero fills the
-  // remainder (ftruncate-extended tail).
+  // remainder (ftruncate-extended tail). ReadVecFd scatters one contiguous
+  // range over `count` buffers (preadv), advancing `parts` as it reads.
+  Status ReadVecFd(int fd, uint64_t offset, struct iovec* parts, int count);
   Status ReadRawFd(int fd, uint64_t offset, char* dst, uint64_t bytes);
   Status WriteRawFd(int fd, uint64_t offset, const char* src, uint64_t bytes);
   Status ReadRaw(uint64_t offset, char* dst, uint64_t bytes) {
@@ -210,6 +214,9 @@ class FileBlockManager : public BlockManager {
   // quarantine is to be cleared).
   Status VerifyInto(uint64_t id, const char* raw, std::span<double> out,
                     VerifyMode mode);
+  // VerifyInto's failure path, for a `raw` stride that failed verification.
+  Status VerifyFailed(uint64_t id, const char* raw, std::span<double> out,
+                      VerifyMode mode);
   // Drops `id` from the quarantine; skips mu_ while nothing is quarantined.
   void ClearQuarantine(uint64_t id);
 

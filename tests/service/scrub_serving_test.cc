@@ -224,9 +224,10 @@ TEST(ScrubServingTest, BackgroundScrubberFindsBitRotAndPauses) {
 }
 
 // Scrub ticks exclude running drains: with a worker draining live and
-// another thread sweeping ScrubTick(8) over and over, nothing races (the
-// test runs under tsan) and the drained store equals, block for block and
-// bit for bit, a reference cube that applied the same deltas synchronously.
+// another thread sweeping ScrubTick(8) back to back, nothing races (the
+// test runs under tsan), the ticks do not starve the drain worker, and the
+// drained store equals, block for block and bit for bit, a reference cube
+// that applied the same deltas synchronously.
 TEST(ScrubServingTest, ScrubTicksBesideLiveDrainsKeepStoreExact) {
   const auto dir = MakeTempDir("livedrains");
   uint64_t stride = 0;
@@ -252,18 +253,16 @@ TEST(ScrubServingTest, ScrubTicksBesideLiveDrainsKeepStoreExact) {
       const ServingCube::ScrubTickResult tick = serving->ScrubTick(8);
       unrepairable.fetch_add(tick.unrepairable);
       ticks.fetch_add(1);
-      // Paced like the Scrubber thread: back-to-back ticks would hold
-      // drain_mu_ nearly all the time and starve the drain worker.
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   });
   Xoshiro256 rng(20261021);
   std::vector<Status> failures;
-  // At least 400 deltas, and on until drains ran beside the ticks.
+  // At least 400 deltas, and on until drains ran beside the ticks: the
+  // scrubber thread may not have started before the 400th delta.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   for (int i = 0;
-       i < 400 || (serving->stats().apply_batches < 4 &&
+       i < 400 || ((serving->stats().apply_batches < 4 || ticks.load() == 0) &&
                    std::chrono::steady_clock::now() < deadline);
        ++i) {
     const std::vector<uint64_t> at{rng.NextBounded(8), rng.NextBounded(8)};

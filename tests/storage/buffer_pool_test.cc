@@ -13,6 +13,7 @@
 
 #include "shiftsplit/storage/journal.h"
 #include "shiftsplit/storage/memory_block_manager.h"
+#include "shiftsplit/util/random.h"
 #include "storage/fault_injection_block_manager.h"
 #include "testing.h"
 
@@ -738,6 +739,242 @@ TEST(BufferPoolTest, DiscardFailsWhilePinned) {
   EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
   page.Release();
   ASSERT_OK(pool.Discard());
+}
+
+
+// ---- In-flight frames (thread-safe pools) --------------------------------
+
+// Writes `value` into every slot of `block` on the device.
+void FillBlock(BlockManager* manager, uint64_t block, double value) {
+  const std::vector<double> image(kBlockSize, value);
+  ASSERT_OK(manager->WriteBlock(block, image));
+}
+
+// Spins until `manager` has seen more than `reads` reads.
+void AwaitReadStart(const testing::FaultInjectionBlockManager& manager,
+                    uint64_t reads) {
+  while (manager.reads_seen() == reads) std::this_thread::yield();
+}
+
+// A miss reads the device outside the pool mutex: a hit on another block
+// does not wait for it, and a second miss on the same block waits for that
+// read instead of issuing its own.
+TEST(BufferPoolTest, HitDoesNotWaitForAnotherThreadsMissRead) {
+  MemoryBlockManager inner(kBlockSize, 8);
+  FillBlock(&inner, 2, 7.0);
+  testing::FaultInjectionBlockManager manager(&inner);
+  BufferPool pool(&manager, 4);
+  pool.set_thread_safe(true);
+  ASSERT_OK(pool.GetBlock(1, false).status());
+  manager.SetReadLatency(1, 300'000);  // every read stalls 300 ms
+  const uint64_t reads_before = manager.reads_seen();
+
+  auto read_block_2 = [&pool](double* seen) {
+    auto page = pool.GetBlock(2, false);
+    *seen = page.ok() ? (*page)[0] : -1.0;
+  };
+  double seen_a = 0.0;
+  double seen_b = 0.0;
+  std::thread a(read_block_2, &seen_a);
+  AwaitReadStart(manager, reads_before);  // A's read is in flight
+
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_OK(pool.GetBlock(1, false).status());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(50));
+
+  std::thread b(read_block_2, &seen_b);
+  a.join();
+  b.join();
+  EXPECT_EQ(manager.reads_seen(), reads_before + 1);  // B issued no read
+  EXPECT_DOUBLE_EQ(seen_a, 7.0);
+  EXPECT_DOUBLE_EQ(seen_b, 7.0);
+  EXPECT_EQ(pool.hits() + pool.misses(), 4u);
+  EXPECT_EQ(pool.pinned_frames(), 0u);
+}
+
+// A failed in-flight read leaves no trace: its frame is dropped, no victim
+// was evicted, and a caller that waited for it retries with its own read.
+TEST(BufferPoolTest, FailedInFlightReadIsRetriedByItsWaiter) {
+  MemoryBlockManager inner(kBlockSize, 8);
+  FillBlock(&inner, 2, 9.0);
+  testing::FaultInjectionBlockManager manager(&inner);
+  BufferPool pool(&manager, 4);
+  pool.set_thread_safe(true);
+  {
+    ASSERT_OK_AND_ASSIGN(auto page, pool.GetBlock(0, true));
+    page[0] = 42.0;
+  }
+  ASSERT_OK(pool.GetBlock(1, false).status());
+  const uint64_t cached_before = pool.cached_blocks();
+
+  manager.SetReadLatency(1, 300'000);
+  manager.FailNthRead(1);  // A's read stalls, then fails
+  const uint64_t reads_before = manager.reads_seen();
+  Status a_status;
+  std::thread a([&] { a_status = pool.GetBlock(2, false).status(); });
+  AwaitReadStart(manager, reads_before);
+
+  double seen = 0.0;
+  std::chrono::steady_clock::duration waited{};
+  std::thread waiter([&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto page = pool.GetBlock(2, false);
+    waited = std::chrono::steady_clock::now() - t0;
+    seen = page.ok() ? (*page)[0] : -1.0;
+  });
+  a.join();
+  waiter.join();
+  manager.SetReadLatency(0, 0);
+
+  EXPECT_EQ(a_status.code(), StatusCode::kIOError);
+  EXPECT_DOUBLE_EQ(seen, 9.0);
+  EXPECT_EQ(manager.reads_seen(), reads_before + 2);  // A's, then its own
+  // The waiter sat out the rest of A's read before its own 300 ms read.
+  EXPECT_GE(waited, std::chrono::milliseconds(400));
+  // Blocks 0 and 1 are resident as before (no re-read), plus the waiter's.
+  EXPECT_EQ(pool.cached_blocks(), cached_before + 1);
+  const uint64_t reads_after = manager.reads_seen();
+  {
+    ASSERT_OK_AND_ASSIGN(auto page, pool.GetBlock(0, false));
+    EXPECT_DOUBLE_EQ(page[0], 42.0);
+  }
+  ASSERT_OK(pool.GetBlock(1, false).status());
+  EXPECT_EQ(manager.reads_seen(), reads_after);
+  // Block 0 is still dirty: Flush writes exactly it.
+  ASSERT_OK(pool.Flush());
+  EXPECT_EQ(inner.stats().block_writes, 2u);  // FillBlock, then the flush
+  EXPECT_EQ(pool.hits() + pool.misses(), 6u);
+  EXPECT_EQ(pool.pinned_frames(), 0u);
+}
+
+// The drain's two pool calls beside a query's in-flight read of the same
+// block: staging sees the block as absent, and the install takes the frame
+// that read loads, so the block keeps one frame and the pool then serves
+// the installed image.
+TEST(BufferPoolTest, PinForInstallSharesTheFrameOfAnInFlightRead) {
+  MemoryBlockManager inner(kBlockSize, 8);
+  FillBlock(&inner, 3, 5.0);
+  testing::FaultInjectionBlockManager manager(&inner);
+  BufferPool pool(&manager, 4);
+  pool.set_thread_safe(true);
+  manager.SetReadLatency(1, 200'000);
+  const uint64_t reads_before = manager.reads_seen();
+
+  const double* loaded = nullptr;
+  std::thread a([&] {
+    auto page = pool.GetBlock(3, false);
+    if (page.ok()) loaded = page->span().data();
+  });
+  AwaitReadStart(manager, reads_before);
+  // The drain's staging copy treats the loading frame as absent.
+  std::vector<double> copy(kBlockSize);
+  EXPECT_FALSE(pool.CopyIfResident(3, copy));
+  const std::vector<double> present(kBlockSize, 5.0);
+  ASSERT_OK_AND_ASSIGN(PageGuard frame, pool.PinForInstall(3, present));
+  a.join();
+  manager.SetReadLatency(0, 0);
+
+  EXPECT_EQ(frame.span().data(), loaded);
+  EXPECT_EQ(pool.cached_blocks(), 1u);
+  EXPECT_DOUBLE_EQ(frame[0], 5.0);
+  const std::vector<double> image(kBlockSize, 8.0);
+  std::copy(image.begin(), image.end(), frame.span().begin());
+  ASSERT_OK(manager.WriteBlock(3, image));
+  frame.ReleaseClean();
+
+  ASSERT_OK_AND_ASSIGN(auto page, pool.GetBlock(3, false));
+  EXPECT_DOUBLE_EQ(page[0], 8.0);
+  EXPECT_EQ(manager.reads_seen(), reads_before + 1);
+}
+
+// A caller waiting for another caller's read gives up at its deadline;
+// the read completes for its own caller and leaves the block resident.
+TEST(BufferPoolTest, WaitForAnInFlightReadHonoursTheDeadline) {
+  MemoryBlockManager inner(kBlockSize, 8);
+  testing::FaultInjectionBlockManager manager(&inner);
+  BufferPool pool(&manager, 4);
+  pool.set_thread_safe(true);
+  manager.SetReadLatency(1, 300'000);
+  const uint64_t reads_before = manager.reads_seen();
+
+  Status a_status;
+  std::thread a([&] { a_status = pool.GetBlock(2, false).status(); });
+  AwaitReadStart(manager, reads_before);
+  OperationContext ctx(std::chrono::milliseconds(20));
+  const auto waited = pool.GetBlock(2, false, &ctx);
+  EXPECT_EQ(waited.status().code(), StatusCode::kDeadlineExceeded);
+  a.join();
+  manager.SetReadLatency(0, 0);
+
+  ASSERT_OK(a_status);
+  EXPECT_EQ(pool.pinned_frames(), 0u);
+  ASSERT_OK(pool.GetBlock(2, false).status());
+  EXPECT_EQ(manager.reads_seen(), reads_before + 1);
+}
+
+// Stress for tsan: readers pin and release random blocks of an 8-frame
+// pool while an installer cycles PinForInstall/ReleaseClean. Every pin
+// sees its own block's payload, and the pool's counts come out exact.
+TEST(BufferPoolTest, ConcurrentPinsReleasesAndInstallsStayExact) {
+  constexpr uint64_t kBlocks = 64;
+  constexpr int kReaders = 4;
+  constexpr int kOpsPerReader = 2000;
+  MemoryBlockManager inner(kBlockSize, kBlocks);
+  for (uint64_t block = 0; block < kBlocks; ++block) {
+    FillBlock(&inner, block, static_cast<double>(block));
+  }
+  testing::FaultInjectionBlockManager manager(&inner);
+  manager.SetReadLatency(7, 50);  // widen some in-flight windows
+  BufferPool pool(&manager, 8);
+  pool.set_thread_safe(true);
+
+  std::atomic<uint64_t> calls{0};
+  std::atomic<uint64_t> bad{0};
+  auto holds = [](const PageGuard& page, uint64_t block) {
+    for (const double v : page.span()) {
+      if (v != static_cast<double>(block)) return false;
+    }
+    return true;
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Xoshiro256 rng(1000 + r);
+      for (int op = 0; op < kOpsPerReader; ++op) {
+        const uint64_t block = rng.NextBounded(kBlocks);
+        auto page = pool.GetBlock(block, false);
+        calls.fetch_add(1);
+        if (!page.ok() || !holds(*page, block)) bad.fetch_add(1);
+      }
+    });
+  }
+  std::atomic<bool> stop{false};
+  std::thread installer([&] {
+    Xoshiro256 rng(7);
+    while (!stop.load()) {
+      const uint64_t block = rng.NextBounded(kBlocks);
+      const std::vector<double> present(kBlockSize,
+                                        static_cast<double>(block));
+      auto frame = pool.PinForInstall(block, present);
+      if (!frame.ok() || !holds(*frame, block)) {
+        bad.fetch_add(1);
+        continue;
+      }
+      frame->ReleaseClean();
+    }
+  });
+  for (std::thread& t : readers) t.join();
+  stop.store(true);
+  installer.join();
+
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(pool.pinned_frames(), 0u);
+  EXPECT_EQ(pool.hits() + pool.misses(), calls.load());
+  // Two GetBlocks of one block: the second is a hit that first trims.
+  ASSERT_OK(pool.GetBlock(0, false).status());
+  ASSERT_OK(pool.GetBlock(0, false).status());
+  EXPECT_LE(pool.cached_blocks(), pool.capacity());
 }
 
 }  // namespace

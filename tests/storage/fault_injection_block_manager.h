@@ -22,7 +22,8 @@ namespace testing {
 
 /// \brief BlockManager decorator with three failure modes:
 ///  - FailNthRead / FailNthWrite: exactly the nth (1-based) subsequent
-///    ReadBlock / WriteBlock fails with IOError; everything else passes.
+///    ReadBlock / WriteBlock fails with IOError; everything else passes. A
+///    failing read still takes its SetReadLatency stall first.
 ///  - FailAfter(budget): every read/write past `budget` successful
 ///    operations fails until Refill (a "device died" simulation).
 ///  - CrashAfterNthOp(n): a power cut at durability op n. Durability ops
@@ -146,37 +147,43 @@ class FaultInjectionBlockManager : public BlockManager {
 
   Status ReadBlock(uint64_t id, std::span<double> out) override {
     uint64_t stall_us = 0;
+    bool fail = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++reads_seen_;
-      if (reads_seen_ == fail_read_at_) {
-        return Status::IOError("injected read failure");
-      }
-      if (const auto it = injected_status_.find(id);
-          it != injected_status_.end()) {
-        return it->second;
-      }
-      if (transient_every_ != 0 && reads_seen_ % transient_every_ == 0) {
-        return Status::IOError("injected transient read failure");
-      }
       if (latency_every_ != 0 && reads_seen_ % latency_every_ == 0) {
         stall_us = latency_us_;
       }
-      if (crashed_) return Status::IOError("simulated power cut: device off");
-      SS_RETURN_IF_ERROR(ConsumeBudgetLocked());
-      ++stats_.block_reads;
-      // Read-your-writes for staged (not yet synced) blocks.
-      if (drop_unsynced_) {
-        const auto it = unsynced_.find(id);
-        if (it != unsynced_.end()) {
-          std::copy(it->second.begin(), it->second.end(), out.begin());
-          return Status::OK();
+      // A FailNthRead failure stalls like a passing read, so a test can
+      // hold a read in flight that then fails.
+      fail = reads_seen_ == fail_read_at_;
+      if (!fail) {
+        if (const auto it = injected_status_.find(id);
+            it != injected_status_.end()) {
+          return it->second;
+        }
+        if (transient_every_ != 0 && reads_seen_ % transient_every_ == 0) {
+          return Status::IOError("injected transient read failure");
+        }
+        if (crashed_) {
+          return Status::IOError("simulated power cut: device off");
+        }
+        SS_RETURN_IF_ERROR(ConsumeBudgetLocked());
+        ++stats_.block_reads;
+        // Read-your-writes for staged (not yet synced) blocks.
+        if (drop_unsynced_) {
+          const auto it = unsynced_.find(id);
+          if (it != unsynced_.end()) {
+            std::copy(it->second.begin(), it->second.end(), out.begin());
+            return Status::OK();
+          }
         }
       }
     }
     if (stall_us != 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(stall_us));
     }
+    if (fail) return Status::IOError("injected read failure");
     return inner_->ReadBlock(id, out);
   }
 

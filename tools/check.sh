@@ -347,11 +347,12 @@ for preset in default release asan tsan; do
 done
 
 # The concurrency tests again under tsan, five runs each: a fault in the
-# serving layer's in-order publication of writes, or in a drain that runs
-# beside queries without the store latch, may show up in only one run out
-# of many. About 25 s on a 4-vCPU machine.
-echo "==> test [tsan, -L 'service|scrub' x5]"
-ctest --preset tsan -L 'service|scrub' --repeat until-fail:5 -j "$jobs"
+# serving layer's in-order publication of writes, in a drain that runs
+# beside queries without the store latch, or in the buffer pool's
+# in-flight frames may show up in only one run out of many. About 25 s on
+# a 4-vCPU machine.
+echo "==> test [tsan, -L 'service|scrub|storage' x5]"
+ctest --preset tsan -L 'service|scrub|storage' --repeat until-fail:5 -j "$jobs"
 
 stable_test_names
 
