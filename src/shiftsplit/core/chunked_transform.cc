@@ -79,10 +79,10 @@ Status ParallelIngest(ChunkSource* source, const TensorShape& chunk_shape,
   uint64_t committed = 0;
   Status first_error;
 
-  // The pool's frame table is shared across workers from here on. Writes go
-  // through ApplyChunkPlan under the ordered commit, so pinned spans are
-  // never touched concurrently.
-  store->pool().set_thread_safe(true);
+  // Every pool call is made under commit_mu (ApplyChunkPlan at the commit
+  // turn; planning reads only the layout), so the calls never overlap and
+  // the pool needs no thread-safe mode: it keeps one exact LRU, and the
+  // ingest issues the serial run's block I/O.
 
   auto work = [&]() {
     Tensor chunk(chunk_shape);
@@ -133,7 +133,6 @@ Status ParallelIngest(ChunkSource* source, const TensorShape& chunk_shape,
   workers.reserve(threads);
   for (uint32_t t = 0; t < threads; ++t) workers.emplace_back(work);
   for (std::thread& w : workers) w.join();
-  store->pool().set_thread_safe(false);
 
   SS_RETURN_IF_ERROR(first_error);
   *chunks_applied = committed;

@@ -27,6 +27,15 @@ DeltaBuffer::Snapshot::~Snapshot() {
   buffer_->snapshots_.erase(it_);
 }
 
+DeltaBuffer::OverlayView::~OverlayView() {
+  if (probes_ != 0) {
+    buffer_->overlay_probes_.fetch_add(probes_, std::memory_order_relaxed);
+  }
+  if (hits_ != 0) {
+    buffer_->overlay_hits_.fetch_add(hits_, std::memory_order_relaxed);
+  }
+}
+
 void DeltaBuffer::OverlayView::FoldBlock(uint64_t block,
                                          std::span<const double> stored,
                                          std::span<const uint64_t> slots,
@@ -51,39 +60,33 @@ void DeltaBuffer::OverlayView::Fold(
   static_assert(offsetof(SeqContribution, value) == sizeof(uint64_t),
                 "SeqContribution::value must sit at the second lane");
   constexpr size_t kStride = sizeof(SeqContribution) / sizeof(double);
-  buffer_->overlay_probes_.fetch_add(slots.size(), std::memory_order_relaxed);
-  uint64_t hits = 0;
-  {
-    // The stored slots (or, for a skipped block, what `paired` reads) are
-    // read inside the stripe section too: the drain swaps a block's frame
-    // and moves its energy, and erases its contributions, in one section of
-    // this stripe (InstallBlock).
-    Stripe& stripe = buffer_->StripeOf(block);
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    if (paired != nullptr) (*paired)();
-    const auto block_it = stripe.blocks.find(block);
-    for (size_t i = 0; i < slots.size(); ++i) {
-      merged[i] = stored.empty() ? 0.0 : stored[slots[i]];
-      if (block_it == stripe.blocks.end()) continue;
-      const auto slot_it = block_it->second.find(slots[i]);
-      if (slot_it == block_it->second.end()) continue;
-      // Fold the pending contributions with seq <= snapshot in sequence
-      // order — the exact += chain the drain will later run against the
-      // stored value. The entries are seq-sorted, so the in-snapshot ones
-      // are a prefix. fold_chain_strided is scalar in every dispatch tier by
-      // design: a serial dependent sum cannot be vectorized without
-      // reassociating it.
-      const std::vector<SeqContribution>& pending = slot_it->second;
-      const size_t count =
-          static_cast<size_t>(UpperBound(pending, snap_) - pending.begin());
-      if (count == 0) continue;
-      ++hits;
-      merged[i] = kernels::Active().fold_chain_strided(
-          merged[i], &pending[0].value, kStride, count);
-    }
-  }
-  if (hits != 0) {
-    buffer_->overlay_hits_.fetch_add(hits, std::memory_order_relaxed);
+  probes_ += slots.size();
+  // The stored slots (or, for a skipped block, what `paired` reads) are
+  // read inside the stripe section too: the drain swaps a block's frame
+  // and moves its energy, and erases its contributions, in one section of
+  // this stripe (InstallBlock).
+  Stripe& stripe = buffer_->StripeOf(block);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  if (paired != nullptr) (*paired)();
+  const auto block_it = stripe.blocks.find(block);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    merged[i] = stored.empty() ? 0.0 : stored[slots[i]];
+    if (block_it == stripe.blocks.end()) continue;
+    const auto slot_it = block_it->second.find(slots[i]);
+    if (slot_it == block_it->second.end()) continue;
+    // Fold the pending contributions with seq <= snapshot in sequence
+    // order — the exact += chain the drain will later run against the
+    // stored value. The entries are seq-sorted, so the in-snapshot ones
+    // are a prefix. fold_chain_strided is scalar in every dispatch tier by
+    // design: a serial dependent sum cannot be vectorized without
+    // reassociating it.
+    const std::vector<SeqContribution>& pending = slot_it->second;
+    const size_t count =
+        static_cast<size_t>(UpperBound(pending, snap_) - pending.begin());
+    if (count == 0) continue;
+    ++hits_;
+    merged[i] = kernels::Active().fold_chain_strided(
+        merged[i], &pending[0].value, kStride, count);
   }
 }
 

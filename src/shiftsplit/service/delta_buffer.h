@@ -106,12 +106,17 @@ class DeltaBuffer {
   /// probed slot's pending contributions with seq <= the snapshot, in
   /// sequence order. One FoldBlock is one critical section of the block's
   /// stripe, which reads the block's stored slots and folds them all (each
-  /// slot still counts as one overlay probe). The referenced Snapshot must
-  /// outlive the view.
+  /// slot still counts as one overlay probe). The view counts its probes
+  /// and hits itself and adds them to the buffer's counters once, when it
+  /// is destroyed. One query uses a view, from one thread. The referenced
+  /// Snapshot must outlive the view.
   class OverlayView : public CoefficientOverlay {
    public:
     OverlayView(const DeltaBuffer* buffer, const Snapshot& snapshot)
         : buffer_(buffer), snap_(snapshot.seq()) {}
+    ~OverlayView() override;
+    OverlayView(const OverlayView&) = delete;
+    OverlayView& operator=(const OverlayView&) = delete;
 
     void FoldBlock(uint64_t block, std::span<const double> stored,
                    std::span<const uint64_t> slots,
@@ -128,6 +133,8 @@ class DeltaBuffer {
 
     const DeltaBuffer* buffer_;
     uint64_t snap_;
+    mutable uint64_t probes_ = 0;
+    mutable uint64_t hits_ = 0;
   };
 
   /// \brief One block's drained write set, ops grouped per slot in sequence
@@ -291,7 +298,8 @@ class DeltaBuffer {
   uint64_t applied_deltas_ = 0;
   AddHook add_hook_;
 
-  // Counters the stripe sections update.
+  // Counters the stripe sections update, and those each OverlayView adds
+  // to once.
   std::atomic<uint64_t> slot_entries_{0};
   mutable std::atomic<uint64_t> overlay_probes_{0};
   mutable std::atomic<uint64_t> overlay_hits_{0};

@@ -639,6 +639,9 @@ ServingStats ServingCube::stats() const {
   out.latch_hold_us_max = latch_hold_us_max_.load(std::memory_order_relaxed);
   out.latch_exclusive_holds =
       latch_exclusive_holds_.load(std::memory_order_relaxed);
+  const BufferPool::Stats pool = cube_->pool_stats();
+  out.pool_lock_waits = pool.lock_waits;
+  out.pool_lock_wait_us = pool.lock_wait_us;
   if (log_ != nullptr) {
     out.log_appends = log_->appends();
     out.log_syncs = log_->syncs();

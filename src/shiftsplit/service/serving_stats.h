@@ -83,6 +83,9 @@ enum class CounterMerge {
   X(latch_hold_us_total, kSum) /* total exclusive hold */                    \
   X(latch_hold_us_max, kMax) /* longest single exclusive hold */             \
   X(latch_exclusive_holds, kSum) /* exclusive critical sections */           \
+  /* Buffer pool: contended shard-mutex acquisitions and their wait. */       \
+  X(pool_lock_waits, kSum) /* acquisitions that found the mutex held */      \
+  X(pool_lock_wait_us, kSum) /* their total wait, microseconds */            \
   /* Delta log. */                                                            \
   X(log_appends, kSum) /* records staged to the delta log */                 \
   X(log_syncs, kSum) /* group-commit fsync batches */                        \

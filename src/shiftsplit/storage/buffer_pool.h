@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
@@ -31,13 +32,13 @@ namespace internal {
 // stable for the lifetime of the frame — PageGuard relies on this.
 struct PoolFrame {
   // A loading frame is being read by the caller that missed on it; that
-  // caller publishes it ready, or marks it failed, outside the pool mutex.
+  // caller publishes it ready, or marks it failed, outside the mutex.
   enum State : uint8_t { kReady, kLoading, kFailed };
 
   uint64_t block_id = 0;
-  bool dirty = false;  // guarded by the pool mutex
+  bool dirty = false;  // guarded by its shard's mutex
   std::atomic<State> state{kReady};
-  // Raised only under the pool mutex, so a lookup and its pin are one
+  // Raised only under its shard's mutex, so a lookup and its pin are one
   // critical section and a victim seen unpinned stays unpinned. A clean
   // release lowers it without the mutex.
   std::atomic<uint32_t> pins{0};
@@ -165,28 +166,51 @@ class AdmissionTicket {
 ///    write-back leaves the victim resident and still dirty.
 ///
 /// Threading: the pool is thread-compatible by default (zero locking
-/// overhead, single-threaded callers only). set_thread_safe(true) puts the
-/// frame table, recency order and all counters behind an internal mutex,
-/// making the pool safe to drive from multiple threads. No device read of a
-/// miss holds that mutex:
-///  - A miss inserts its frame pinned and *loading* under the mutex, reads
-///    the block with the mutex released, and publishes the frame without
-///    taking the mutex again. A GetBlock of the same block meanwhile pins
-///    the loading frame and waits for that read, so one block has at most
-///    one read in flight.
-///  - The eviction a miss needs is left to the next GetBlock, Prefetch or
-///    PinForInstall, each of which first trims the pool back to capacity.
-///    A thread-safe pool may therefore hold more frames than its capacity
-///    for a moment: one extra for each miss since the last such call. A
-///    single-threaded miss evicts right after its read.
+/// overhead, single-threaded callers only) and keeps one exact LRU order
+/// over every frame. set_thread_safe(true) makes it safe to drive from
+/// multiple threads. A thread-safe pool of at least kShards *
+/// kMinShardFrames frames is split into kShards independent shards chosen
+/// by a hash of the block id; a smaller one stays one shard. Each shard
+/// has its own mutex, frame table, recency order, free list, counters and
+/// an even share of the capacity, so calls on blocks of different shards
+/// never wait for each other, and recency is exact within a shard only.
+///  - GetBlock, CopyIfResident, PinForInstall and a guard's release lock
+///    only their block's shard. Capacity is per shard: a shard whose frames
+///    are all pinned fails a miss, or makes an install wait, even while
+///    other shards have room.
+///  - The pool-wide calls visit the shards in index order. Prefetch, the
+///    flushes, InvalidateBlocks, Clear and Discard take every shard's mutex
+///    in that order and hold them all, so FlushAtomic commits the dirty
+///    frames of every shard in one journal record; stats() and the counter
+///    accessors take one at a time.
+///  - No device read of a miss holds a mutex. A miss inserts its frame
+///    pinned and *loading* under its shard's mutex, reads the block with
+///    the mutex released, and publishes the frame without taking the mutex
+///    again. A GetBlock of the same block meanwhile pins the loading frame
+///    and waits for that read, so one block has at most one read in flight.
+///  - The eviction a miss needs is left to the next GetBlock or
+///    PinForInstall on its shard, or the next Prefetch, each of which first
+///    trims the shard back to its capacity. A thread-safe shard may
+///    therefore hold more frames than its capacity for a moment: one extra
+///    for each miss since the last such call. A single-threaded miss evicts
+///    right after its read.
 ///  - Releasing a clean guard drops its pin without the mutex; a dirty
 ///    release and ReleaseClean take it.
+///  - Stats counts the contended shard-mutex acquisitions and their wait;
+///    an uncontended acquisition reads no clock.
 ///
-/// Writes through a pinned span are NOT covered by the pool mutex:
-/// concurrent writers must touch disjoint blocks or serialize externally
-/// (the parallel chunked transform serializes commits).
+/// Writes through a pinned span are NOT covered by a shard mutex:
+/// concurrent writers must touch disjoint blocks or serialize externally.
+/// A caller that serializes every pool call itself needs no thread-safe
+/// mode (the parallel chunked transform makes each of its pool calls under
+/// its commit mutex, so it keeps the single-threaded pool's exact LRU).
 class BufferPool {
  public:
+  /// Shard count of a thread-safe pool whose capacity gives every shard at
+  /// least kMinShardFrames frames.
+  static constexpr uint64_t kShards = 16;
+  static constexpr uint64_t kMinShardFrames = 64;
+
   /// \brief Counters describing pool behaviour since construction.
   struct Stats {
     uint64_t hits = 0;
@@ -198,6 +222,8 @@ class BufferPool {
     uint64_t pinned_frames = 0;   ///< frames currently pinned
     uint64_t cached_blocks = 0;   ///< frames currently resident
     uint64_t capacity = 0;
+    uint64_t lock_waits = 0;      ///< contended shard-mutex acquisitions
+    uint64_t lock_wait_us = 0;    ///< their total wait, microseconds
     uint64_t admitted = 0;             ///< operations granted an admission slot
     uint64_t admission_rejections = 0; ///< fast rejections (queue full)
     uint64_t admission_timeouts = 0;   ///< waiters that timed out in the queue
@@ -235,19 +261,20 @@ class BufferPool {
   /// read until `ctx`'s deadline, then fails with DeadlineExceeded. If that
   /// read fails, the call continues as a miss with a read of its own.
   ///
-  /// Errors: ResourceExhausted when the pool is full of pinned frames;
-  /// DeadlineExceeded/Cancelled from `ctx`; any Status from the backing
-  /// manager's ReadBlock/WriteBlock.
+  /// Errors: ResourceExhausted when the block's shard is full of pinned
+  /// frames; DeadlineExceeded/Cancelled from `ctx`; any Status from the
+  /// backing manager's ReadBlock/WriteBlock.
   Result<PageGuard> GetBlock(uint64_t block_id, bool for_write,
                              OperationContext* ctx = nullptr);
 
   /// \brief Warms the cache with `block_ids` in one vectored read
   /// (BlockManager::ReadBlocks). Already-cached and duplicate ids are
-  /// skipped; the remaining ids are loaded first-to-last until the pool has
-  /// no more unpinned room, evicting LRU victims (write-backs included) as
+  /// skipped; the remaining ids are loaded first-to-last while their shard
+  /// has unpinned room, evicting LRU victims (write-backs included) as
   /// needed. Purely a cache warm-up: a prefetched frame carries no pin and
   /// may be evicted again before use, in which case the later GetBlock
-  /// simply re-reads it — correctness never depends on a prefetch.
+  /// simply re-reads it — correctness never depends on a prefetch. First
+  /// trims every shard back to its capacity, also for an empty list.
   ///
   /// Errors: a failed batch read leaves the cache unchanged; a failed victim
   /// write-back stops the insertion, leaving earlier ids warmed. With a
@@ -266,8 +293,8 @@ class BufferPool {
   /// \brief Pins `block_id`'s frame for a caller that overwrites the frame
   /// and writes the block in place itself (the serving drain's install). An
   /// absent block becomes resident from `present`, its current image, at
-  /// the cold end of the LRU with no device read; the victim is chosen and
-  /// written back as on a GetBlock miss. Release with
+  /// the cold end of its shard's LRU with no device read; the victim is
+  /// chosen and written back as on a GetBlock miss. Release with
   /// PageGuard::ReleaseClean once the device holds the frame's image.
   ///
   /// A frame still loading (a query's read of the block in flight) is
@@ -275,9 +302,9 @@ class BufferPool {
   /// read returns `present`, the block keeps one frame, and the caller's
   /// in-place write never overlaps a device read of the block.
   ///
-  /// When every frame is pinned, a thread-safe pool waits for one to be
-  /// released (the installer must hold no pin of its own); a
-  /// single-threaded one fails.
+  /// When every frame of the block's shard is pinned, a thread-safe pool
+  /// waits for one to be released (the installer must hold no pin of its
+  /// own); a single-threaded one fails.
   ///
   /// Errors: ResourceExhausted when every frame is pinned (single-threaded
   /// pools only); a failed victim write-back.
@@ -305,10 +332,18 @@ class BufferPool {
   /// control disabled this is a cheap no-op returning a valid ticket.
   Result<AdmissionTicket> AdmitOperation(OperationContext* ctx = nullptr);
 
-  /// \brief Toggles the internal mutex (see class comment). Must be called
-  /// while no operation is in flight on another thread.
-  void set_thread_safe(bool on) { thread_safe_ = on; }
+  /// \brief Toggles thread-safe mode (see class comment), splitting the
+  /// frames into num_shards() shards or merging them back into one.
+  /// Resident frames keep their contents, dirty bits and pins, and the
+  /// counters keep their totals; a shard left above its capacity is trimmed
+  /// by its next call. Must be called while no operation is in flight on
+  /// another thread.
+  void set_thread_safe(bool on);
   bool thread_safe() const { return thread_safe_; }
+
+  /// \brief Independent LRU shards: kShards in a thread-safe pool of at
+  /// least kShards * kMinShardFrames frames, 1 otherwise.
+  uint64_t num_shards() const { return num_shards_; }
 
   /// \brief Writes back all dirty frames (keeps them cached and clean).
   /// Stops at the first failing write, leaving that frame dirty.
@@ -320,6 +355,7 @@ class BufferPool {
   /// device synced, then the journal is truncated. A crash anywhere in
   /// between is repaired by Journal::Recover on reopen — the whole batch
   /// lands or none of it does. With a null journal this degrades to Flush().
+  /// The record holds the dirty frames of every shard.
   ///
   /// The all-or-nothing guarantee covers the frames dirty at call time;
   /// dirty frames evicted *between* commits are written back unjournaled
@@ -353,21 +389,21 @@ class BufferPool {
   /// ResourceExhausted (dropping nothing) while any frame is pinned.
   Status Clear();
 
-  /// \brief Full counter snapshot (see Stats).
+  /// \brief Full counter snapshot (see Stats), summed over the shards.
   Stats stats() const;
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
+  uint64_t hits() const;
+  uint64_t misses() const;
   /// \brief Dirty frames that could not be written back by best-effort
   /// flushes (FlushBestEffort and the destructor).
-  uint64_t flush_failures() const { return flush_failures_; }
+  uint64_t flush_failures() const;
   /// \brief Write-backs performed inside FlushAtomic commits; the
   /// difference to Stats::write_backs is eviction traffic outside any
   /// commit (zero when the pool never steals dirty frames between commits).
-  uint64_t journaled_write_backs() const { return journaled_write_backs_; }
+  uint64_t journaled_write_backs() const;
   uint64_t capacity() const { return capacity_; }
-  uint64_t cached_blocks() const { return frames_.size(); }
-  uint64_t pinned_frames() const { return pinned_frames_.load(); }
+  uint64_t cached_blocks() const;
+  uint64_t pinned_frames() const;
 
   BlockManager* manager() { return manager_; }
 
@@ -375,6 +411,44 @@ class BufferPool {
   friend class PageGuard;
   friend class AdmissionTicket;
   using FrameList = std::list<internal::PoolFrame>;
+
+  // The blocks whose id hashes to one shard, with everything a miss, a pin
+  // or a release of them touches. Aligned to a cache line so neighbouring
+  // shards' mutexes and counters do not share one. The counters are
+  // guarded by `mu` in a thread-safe pool.
+  struct alignas(64) Shard {
+    std::mutex mu;
+    uint64_t capacity = 0;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t evictions = 0;
+    uint64_t write_backs = 0;
+    uint64_t flush_failures = 0;
+    uint64_t journaled_write_backs = 0;
+    uint64_t prefetched = 0;
+    uint64_t lock_waits = 0;    // contended acquisitions of mu
+    uint64_t lock_wait_ns = 0;  // their total wait
+    IoStats io;                 // block reads/writes issued for this shard
+    std::atomic<uint64_t> pinned_frames{0};
+    // Callers waiting for another caller's read of a loading frame. The
+    // loader takes the mutex to wake them only when one has announced
+    // itself.
+    std::atomic<uint64_t> load_waiters{0};
+    std::condition_variable loaded_cv;
+    // PinForInstall callers waiting for a frame's last pin to drop; a clean
+    // release takes the mutex to wake them only when one has announced
+    // itself.
+    std::atomic<uint64_t> unpin_waiters{0};
+    std::condition_variable unpinned_cv;
+    // MRU at front. unordered_map points into the list (stable iterators).
+    // lru also holds failed frames that a waiter still pins (out of
+    // frames).
+    FrameList lru;
+    std::unordered_map<uint64_t, FrameList::iterator> frames;
+    // Frame nodes, with their block-sized buffers, recycled across
+    // evictions so the steady-state miss path performs no heap allocation.
+    FrameList free_frames;
+  };
 
   // One queued admission waiter; lives on the waiter's stack.
   struct AdmissionWaiter {
@@ -386,18 +460,34 @@ class BufferPool {
   // queued waiter(s).
   void ReleaseAdmission();
 
-  // Locked when thread-safe mode is on; an empty (no-op) lock otherwise.
-  std::unique_lock<std::mutex> Lock() const {
-    return thread_safe_ ? std::unique_lock<std::mutex>(mu_)
-                        : std::unique_lock<std::mutex>();
+  // Index of the shard holding `block_id`: a Fibonacci hash of the id, so
+  // strided ids spread over the shards.
+  uint64_t ShardIndex(uint64_t block_id) const {
+    if (num_shards_ == 1) return 0;
+    return (block_id * 0x9E3779B97F4A7C15ull) >> (64 - kShardBits);
+  }
+  Shard& ShardOf(uint64_t block_id) const {
+    return shards_[ShardIndex(block_id)];
   }
 
+  // `shard`'s mutex, locked when thread-safe mode is on (counting a
+  // contended acquisition and its wait); an empty (no-op) lock otherwise.
+  std::unique_lock<std::mutex> Lock(Shard& shard) const;
+  // Every shard's Lock(), taken in index order.
+  std::vector<std::unique_lock<std::mutex>> LockAll() const;
+
+  // Replaces the shards with `count` new ones (see set_thread_safe).
+  void Repartition(uint64_t count);
+
+  // Sum of `field` over the shards, each read under its mutex.
+  uint64_t SumShards(uint64_t Shard::*field) const;
+
   // Raises `frame`'s pin count, recording the 0->1 transition. Caller
-  // holds Lock().
-  void Pin(internal::PoolFrame* frame);
+  // holds Lock(shard).
+  void Pin(Shard& shard, internal::PoolFrame* frame);
   // Lowers `frame`'s pin count (at least release ordering); true when that
   // was its last pin. Needs no lock.
-  bool DropPin(internal::PoolFrame* frame);
+  bool DropPin(Shard& shard, internal::PoolFrame* frame);
   // PageGuard::Release calls this: applies `dirty`, drops one pin. Only a
   // dirty release takes the lock.
   void Unpin(internal::PoolFrame* frame, bool dirty);
@@ -408,60 +498,51 @@ class BufferPool {
   // True once it is ready (at once for a ready frame); false (pin dropped)
   // when that read failed; DeadlineExceeded (pin dropped) when `ctx`'s
   // deadline passes first.
-  Result<bool> AwaitLoad(std::unique_lock<std::mutex>& lock,
+  Result<bool> AwaitLoad(Shard& shard, std::unique_lock<std::mutex>& lock,
                          FrameList::iterator frame, OperationContext* ctx);
-  // Drops one pin of a frame whose read failed (already out of frames_),
-  // recycling the frame with its last pin. Caller holds Lock().
-  void DropFailed(FrameList::iterator frame);
+  // Drops one pin of a frame whose read failed (already out of frames),
+  // recycling the frame with its last pin. Caller holds Lock(shard).
+  void DropFailed(Shard& shard, FrameList::iterator frame);
 
-  // A clean, unpinned frame for `block_id` in `state`, inserted into lru_
-  // before `pos` and into frames_: a recycled node when one is free, a new
-  // one otherwise. Its contents are unspecified.
-  FrameList::iterator TakeFrame(uint64_t block_id, FrameList::iterator pos,
+  // A clean, unpinned frame for `block_id` in `state`, inserted into the
+  // shard's lru before `pos` and into its frames: a recycled node when one
+  // is free, a new one otherwise. Its contents are unspecified.
+  FrameList::iterator TakeFrame(Shard& shard, uint64_t block_id,
+                                FrameList::iterator pos,
                                 internal::PoolFrame::State state);
 
-  // Least-recently-used unpinned frame, or lru_.end() if all are pinned.
-  FrameList::iterator FindVictim();
+  // Least-recently-used unpinned frame, or lru.end() if all are pinned.
+  static FrameList::iterator FindVictim(Shard& shard);
 
   // Writes `victim` back if dirty, then drops it from the cache and keeps
   // its node for reuse. A failed write-back leaves it resident and dirty.
-  Status Evict(FrameList::iterator victim);
+  Status Evict(Shard& shard, FrameList::iterator victim);
 
-  // Evicts LRU victims until at most capacity_ frames remain or every
+  // Evicts LRU victims until at most the shard's capacity remains or every
   // frame is pinned — the room earlier misses left to be made.
-  Status Trim();
+  Status Trim(Shard& shard);
 
   // Writes `frame` back if dirty (counting the write-back); on success the
   // frame is clean.
-  Status WriteBack(internal::PoolFrame& frame);
+  Status WriteBack(Shard& shard, internal::PoolFrame& frame);
 
-  // Unlocked bodies of the public entry points (caller holds Lock()).
+  // Unlocked bodies of the public entry points (caller holds LockAll()).
   Status FlushLocked();
   uint64_t FlushBestEffortLocked();
+  // ResourceExhausted naming `op` while any frame is pinned.
+  Status CheckNothingPinned(const char* op) const;
+
+  static constexpr uint32_t kShardBits = 4;
+  static_assert(kShards == uint64_t{1} << kShardBits);
 
   BlockManager* manager_;
   uint64_t capacity_;
   bool thread_safe_ = false;
-  mutable std::mutex mu_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t evictions_ = 0;
-  uint64_t write_backs_ = 0;
-  uint64_t flush_failures_ = 0;
-  uint64_t journaled_write_backs_ = 0;
-  uint64_t prefetched_ = 0;
-  std::atomic<uint64_t> pinned_frames_{0};
-  // Callers waiting for another caller's read of a loading frame. The
-  // loader takes the mutex to wake them only when one has announced itself.
-  std::atomic<uint64_t> load_waiters_{0};
-  std::condition_variable loaded_cv_;
-  // PinForInstall callers waiting for a frame's last pin to drop; a clean
-  // release takes the mutex to wake them only when one has announced itself.
-  std::atomic<uint64_t> unpin_waiters_{0};
-  std::condition_variable unpinned_cv_;
-  IoStats io_;  // block reads/writes issued by this pool
-  // Admission control (separate mutex, acquired strictly before mu_ and
-  // never while holding it — tickets are taken before pool operations).
+  uint64_t num_shards_ = 1;
+  std::unique_ptr<Shard[]> shards_;
+  // Admission control (separate mutex, acquired strictly before any shard
+  // mutex and never while holding one — tickets are taken before pool
+  // operations).
   mutable std::mutex admission_mu_;
   uint64_t admission_max_ = 0;  // 0 = admission control off
   uint64_t admission_queue_cap_ = 0;
@@ -471,13 +552,6 @@ class BufferPool {
   uint64_t admission_rejections_ = 0;
   uint64_t admission_timeouts_ = 0;
   std::list<AdmissionWaiter*> admission_queue_;  // FIFO, front is next
-  // MRU at front. unordered_map points into the list (stable iterators).
-  // lru_ also holds failed frames that a waiter still pins (out of frames_).
-  FrameList lru_;
-  std::unordered_map<uint64_t, FrameList::iterator> frames_;
-  // Frame nodes, with their block-sized buffers, recycled across evictions
-  // so the steady-state miss path performs no heap allocation.
-  FrameList free_frames_;
 };
 
 }  // namespace shiftsplit

@@ -231,8 +231,8 @@ Result<std::vector<TiledStore::StagedBlock>> TiledStore::StageBlocks(
   for (size_t i = 0; i < blocks.size(); ++i) {
     staged[i].block = blocks[i];
     staged[i].present.resize(block_size);
-    // One pool-mutex section per block, so a query waits for at most one
-    // frame copy.
+    // One section of the block's pool-shard mutex per block, so a query
+    // waits for at most one frame copy.
     if (!pool_.CopyIfResident(blocks[i], staged[i].present)) {
       absent_ids.push_back(blocks[i]);
       absent.push_back(i);

@@ -100,9 +100,9 @@ class TiledStore {
 
   // ---- Journal-first staged commit (the serving drain) -------------------
   // Stage the present images of a batch's blocks, edit them privately,
-  // journal the result, then install block by block. No step holds the
-  // pool mutex across device I/O, and no block reaches the device before
-  // the batch's journal record is durable.
+  // journal the result, then install block by block. No step holds a
+  // pool shard's mutex across device I/O, and no block reaches the device
+  // before the batch's journal record is durable.
 
   /// \brief One block of a staged commit: `present` is the image the store
   /// holds now, `image` the image the commit installs, `energy_delta` the

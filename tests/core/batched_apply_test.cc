@@ -343,6 +343,36 @@ TEST(ParallelIngestTest, NonstandardFourThreadsMatchSerial) {
   ExpectBitIdentical(serial.manager.get(), parallel.manager.get());
 }
 
+// Parallel ingest makes each of its pool calls under its commit mutex and
+// leaves the pool single-threaded, so a pool large enough to shard in
+// thread-safe mode keeps one exact LRU: four workers issue exactly the
+// serial run's block reads, writes and evictions.
+TEST(ParallelIngestTest, ShardablePoolKeepsTheSerialBlockIo) {
+  constexpr uint64_t kPool = BufferPool::kShards * BufferPool::kMinShardFrames;
+  auto run = [](uint32_t num_threads) {
+    auto dataset = MakeUniformDataset(TensorShape({256, 256}), -1.0, 1.0, 11);
+    auto bundle = MakeStandard({8, 8}, 2, kPool);
+    TransformOptions options;
+    options.num_threads = num_threads;
+    options.oversubscribe = true;
+    auto result =
+        TransformDatasetStandard(dataset.get(), 5, bundle.store.get(), options);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return bundle;
+  };
+  auto serial = run(1);
+  auto parallel = run(4);
+  EXPECT_GT(serial.store->layout().num_blocks(), 4 * kPool);
+  EXPECT_EQ(parallel.store->pool().num_shards(), 1u);
+  const BufferPool::Stats want = serial.store->pool_stats();
+  const BufferPool::Stats got = parallel.store->pool_stats();
+  EXPECT_GT(want.evictions, 0u);
+  EXPECT_EQ(got.io.block_reads, want.io.block_reads);
+  EXPECT_EQ(got.io.block_writes, want.io.block_writes);
+  EXPECT_EQ(got.evictions, want.evictions);
+  ExpectBitIdentical(serial.manager.get(), parallel.manager.get());
+}
+
 TEST(ParallelIngestTest, MultipleThreadsRequireBatchedPath) {
   auto dataset = MakeUniformDataset(TensorShape({16, 16}), 0.0, 1.0, 3);
   auto bundle = MakeStandard({4, 4}, 2, 256);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "shiftsplit/core/wavelet_cube.h"
+#include "shiftsplit/data/synthetic.h"
 #include "shiftsplit/storage/memory_block_manager.h"
 #include "shiftsplit/tile/standard_tiling.h"
 #include "shiftsplit/util/random.h"
@@ -174,6 +175,27 @@ TEST(ServingCubeTest, CoalescesRepeatedCellsAndCountsStats) {
   EXPECT_EQ(stats.applied_seq, stats.last_seq);
   ASSERT_OK_AND_ASSIGN(const double applied, serving->PointQuery(cell));
   EXPECT_DOUBLE_EQ(applied, 3.5);
+}
+
+// A query's overlay probes and hits reach the counters when it returns,
+// exactly once: a point query of a 16x16 standard-form cube (b = 2) reads
+// one block, 3 x 3 coefficients (per dimension the tile's scaling slot and
+// its two detail levels), and a pending delta at the same cell holds a
+// contribution on every one of them.
+TEST(ServingCubeTest, OverlayCountsArriveOncePerQuery) {
+  ASSERT_OK_AND_ASSIGN(auto base, MakeCube());
+  ServingCube::Options options;
+  options.start_workers = false;
+  ASSERT_OK_AND_ASSIGN(auto serving,
+                       ServingCube::Attach(std::move(base), options));
+  const std::vector<uint64_t> cell{3, 7};
+  ASSERT_OK(serving->Add(cell, 1.0));
+  for (uint64_t query = 1; query <= 3; ++query) {
+    ASSERT_OK(serving->PointQuery(cell).status());
+    const ServingStats stats = serving->stats();
+    EXPECT_EQ(stats.overlay_probes, 9 * query);
+    EXPECT_EQ(stats.overlay_hits, 9 * query);
+  }
 }
 
 TEST(ServingCubeTest, BackpressureRejectsUnderDeadlineAndUnblocksAfterDrain) {
@@ -803,6 +825,68 @@ TEST(ServingCubeTest, DegradedAnswersFoldPendingDeltasOfSkippedBlocks) {
             StatusCode::kChecksumMismatch);
   EXPECT_EQ(serving->RangeSum(lo, hi).status().code(),
             StatusCode::kChecksumMismatch);
+}
+
+// A serving pool large enough to shard answers bit-identically to one a
+// frame smaller, which stays a single shard, after the same ingest, adds
+// and drains. The store outgrows both pools, so both miss and evict.
+TEST(ServingCubeTest, ShardedPoolAnswersLikeASingleShardPool) {
+  constexpr uint64_t kSharded =
+      BufferPool::kShards * BufferPool::kMinShardFrames;
+  constexpr uint64_t kEdge = 256;
+  auto open =
+      [](uint64_t pool_blocks) -> Result<std::unique_ptr<ServingCube>> {
+    WaveletCube::Options options;
+    options.pool_blocks = pool_blocks;
+    SS_ASSIGN_OR_RETURN(auto cube,
+                        WaveletCube::CreateInMemory({8, 8}, options));
+    auto field = MakeSmoothDataset(TensorShape({kEdge, kEdge}), 3);
+    SS_RETURN_IF_ERROR(cube->Ingest(field.get(), 3));
+    ServingCube::Options serving;
+    serving.start_workers = false;
+    return ServingCube::Attach(std::move(cube), serving);
+  };
+  ASSERT_OK_AND_ASSIGN(auto sharded, open(kSharded));
+  ASSERT_OK_AND_ASSIGN(auto single, open(kSharded - 1));
+  const BufferPool& sharded_pool = sharded->cube()->store()->pool();
+  ASSERT_EQ(sharded_pool.num_shards(), BufferPool::kShards);
+  ASSERT_EQ(single->cube()->store()->pool().num_shards(), 1u);
+  ASSERT_GT(sharded->cube()->store()->layout().num_blocks(), 4 * kSharded);
+
+  Xoshiro256 rng(31);
+  auto add_both = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const std::vector<uint64_t> cell{rng.NextBounded(kEdge),
+                                       rng.NextBounded(kEdge)};
+      const double value = rng.NextDouble() * 4.0 - 2.0;
+      ASSERT_OK(sharded->Add(cell, value));
+      ASSERT_OK(single->Add(cell, value));
+    }
+  };
+  auto compare = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const std::vector<uint64_t> p{rng.NextBounded(kEdge),
+                                    rng.NextBounded(kEdge)};
+      ASSERT_OK_AND_ASSIGN(const double got, sharded->PointQuery(p));
+      ASSERT_OK_AND_ASSIGN(const double want, single->PointQuery(p));
+      ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want));
+      const std::vector<uint64_t> lo{rng.NextBounded(kEdge),
+                                     rng.NextBounded(kEdge)};
+      const std::vector<uint64_t> hi{lo[0] + rng.NextBounded(kEdge - lo[0]),
+                                     lo[1] + rng.NextBounded(kEdge - lo[1])};
+      ASSERT_OK_AND_ASSIGN(const double sum, sharded->RangeSum(lo, hi));
+      ASSERT_OK_AND_ASSIGN(const double want_sum, single->RangeSum(lo, hi));
+      ASSERT_EQ(std::bit_cast<uint64_t>(sum),
+                std::bit_cast<uint64_t>(want_sum));
+    }
+  };
+  add_both(300);
+  ASSERT_OK(sharded->DrainAll());
+  ASSERT_OK(single->DrainAll());
+  compare(300);
+  add_both(200);  // left pending: the overlay folds them
+  compare(300);
+  EXPECT_GT(sharded_pool.stats().evictions, 0u);
 }
 
 }  // namespace

@@ -977,5 +977,147 @@ TEST(BufferPoolTest, ConcurrentPinsReleasesAndInstallsStayExact) {
   EXPECT_LE(pool.cached_blocks(), pool.capacity());
 }
 
+constexpr uint64_t kShardedCapacity =
+    BufferPool::kShards * BufferPool::kMinShardFrames;
+
+// The stress above on a pool large enough to shard: four readers over four
+// times its capacity, so every shard misses and evicts, beside an
+// installer that also invalidates blocks. Every pin sees its own block's
+// payload, and the counts summed over the shards come out exact.
+TEST(BufferPoolTest, ShardedPoolStaysExactUnderConcurrentPins) {
+  constexpr uint64_t kBlocks = 4 * kShardedCapacity;
+  constexpr int kReaders = 4;
+  constexpr int kOpsPerReader = 20000;
+  MemoryBlockManager inner(kBlockSize, kBlocks);
+  for (uint64_t block = 0; block < kBlocks; ++block) {
+    FillBlock(&inner, block, static_cast<double>(block));
+  }
+  testing::FaultInjectionBlockManager manager(&inner);
+  manager.SetReadLatency(97, 50);  // widen some in-flight windows
+  BufferPool pool(&manager, kShardedCapacity);
+  pool.set_thread_safe(true);
+  ASSERT_EQ(pool.num_shards(), BufferPool::kShards);
+
+  std::atomic<uint64_t> calls{0};
+  std::atomic<uint64_t> bad{0};
+  auto holds = [](const PageGuard& page, uint64_t block) {
+    for (const double v : page.span()) {
+      if (v != static_cast<double>(block)) return false;
+    }
+    return true;
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Xoshiro256 rng(2000 + r);
+      for (int op = 0; op < kOpsPerReader; ++op) {
+        const uint64_t block = rng.NextBounded(kBlocks);
+        auto page = pool.GetBlock(block, false);
+        calls.fetch_add(1);
+        if (!page.ok() || !holds(*page, block)) bad.fetch_add(1);
+      }
+    });
+  }
+  std::atomic<bool> stop{false};
+  std::thread installer([&] {
+    Xoshiro256 rng(9);
+    for (uint64_t round = 0; !stop.load(); ++round) {
+      const uint64_t block = rng.NextBounded(kBlocks);
+      if (round % 8 == 0) {
+        const std::vector<uint64_t> ids{block, block + 1, block / 2};
+        pool.InvalidateBlocks(ids);
+        continue;
+      }
+      const std::vector<double> present(kBlockSize,
+                                        static_cast<double>(block));
+      auto frame = pool.PinForInstall(block, present);
+      if (!frame.ok() || !holds(*frame, block)) {
+        bad.fetch_add(1);
+        continue;
+      }
+      frame->ReleaseClean();
+    }
+  });
+  for (std::thread& t : readers) t.join();
+  stop.store(true);
+  installer.join();
+
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(pool.pinned_frames(), 0u);
+  EXPECT_EQ(pool.hits() + pool.misses(), calls.load());
+  EXPECT_GT(pool.stats().evictions, 0u);
+  // Prefetch first trims every shard back to its capacity.
+  ASSERT_OK(pool.Prefetch(std::span<const uint64_t>()));
+  EXPECT_LE(pool.cached_blocks(), pool.capacity());
+}
+
+// FlushAtomic on a sharded pool commits the dirty frames of every shard in
+// one journal record: when an in-place write fails after the record, the
+// record's replay on reopen gives every block its new image.
+TEST(BufferPoolTest, ShardedFlushAtomicCommitsEveryShardInOneRecord) {
+  TempDir dir;
+  // 64 consecutive ids: the block-id hash spreads them over the shards.
+  constexpr uint64_t kDirty = 64;
+  MemoryBlockManager inner(kBlockSize, kDirty);
+  testing::FaultInjectionBlockManager manager(&inner);
+  BufferPool pool(&manager, kShardedCapacity);
+  pool.set_thread_safe(true);
+  ASSERT_EQ(pool.num_shards(), BufferPool::kShards);
+  for (uint64_t id = 0; id < kDirty; ++id) {
+    ASSERT_OK_AND_ASSIGN(auto page, pool.GetBlock(id, true));
+    page[0] = 100.0 + static_cast<double>(id);
+  }
+  Journal journal(dir.File("store.journal"));
+  manager.FailNthWrite(kDirty / 2);  // the first 31 in-place writes land
+  ASSERT_FALSE(pool.FlushAtomic(&journal).ok());
+  EXPECT_EQ(journal.commits(), 1u);
+  EXPECT_EQ(pool.journaled_write_backs(), kDirty / 2 - 1);
+  std::vector<double> buf(kBlockSize);
+  ASSERT_OK(inner.ReadBlock(kDirty - 1, buf));
+  EXPECT_DOUBLE_EQ(buf[0], 0.0);  // not yet written in place
+
+  Journal reopened(dir.File("store.journal"));
+  ASSERT_OK_AND_ASSIGN(const Journal::RecoveryResult result,
+                       reopened.Recover(&inner));
+  EXPECT_TRUE(result.replayed);
+  EXPECT_EQ(result.blocks, kDirty);
+  for (uint64_t id = 0; id < kDirty; ++id) {
+    ASSERT_OK(inner.ReadBlock(id, buf));
+    EXPECT_DOUBLE_EQ(buf[0], 100.0 + static_cast<double>(id)) << id;
+  }
+}
+
+// A shard-mutex acquisition that finds the mutex held is counted with its
+// wait; uncontended ones are not. FlushAtomic holds every shard's mutex
+// while its journal hook stalls, so a GetBlock beside it waits.
+TEST(BufferPoolTest, ContendedShardLockIsCountedWithItsWait) {
+  TempDir dir;
+  MemoryBlockManager manager(kBlockSize, 8);
+  BufferPool pool(&manager, kShardedCapacity);
+  pool.set_thread_safe(true);
+  {
+    ASSERT_OK_AND_ASSIGN(auto page, pool.GetBlock(0, true));
+    page[0] = 1.0;
+  }
+  ASSERT_OK(pool.GetBlock(1, false).status());
+  EXPECT_EQ(pool.stats().lock_waits, 0u);  // one thread never waits
+
+  Journal journal(dir.File("store.journal"));
+  std::atomic<bool> in_commit{false};
+  journal.set_hook([&](const char* op) -> Status {
+    if (std::string_view(op) == "fsync" && !in_commit.exchange(true)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+    return Status::OK();
+  });
+  std::thread committer([&] { EXPECT_OK(pool.FlushAtomic(&journal)); });
+  while (!in_commit.load()) std::this_thread::yield();
+  ASSERT_OK(pool.GetBlock(1, false).status());
+  committer.join();
+  const BufferPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.lock_waits, 1u);
+  EXPECT_GT(stats.lock_wait_us, 0u);
+}
+
 }  // namespace
 }  // namespace shiftsplit

@@ -348,11 +348,15 @@ done
 
 # The concurrency tests again under tsan, five runs each: a fault in the
 # serving layer's in-order publication of writes, in a drain that runs
-# beside queries without the store latch, or in the buffer pool's
-# in-flight frames may show up in only one run out of many. About 25 s on
-# a 4-vCPU machine.
+# beside queries without the store latch, or in the buffer pool's shards
+# and in-flight frames may show up in only one run out of many. Parallel
+# ingest drives a pool that is not thread-safe, ordered by its commit
+# mutex alone, so a race there must fail loudly too. About 30 s on a
+# 4-vCPU machine.
 echo "==> test [tsan, -L 'service|scrub|storage' x5]"
 ctest --preset tsan -L 'service|scrub|storage' --repeat until-fail:5 -j "$jobs"
+echo "==> test [tsan, -R ParallelIngest x5]"
+ctest --preset tsan -R ParallelIngest --repeat until-fail:5 -j "$jobs"
 
 stable_test_names
 
